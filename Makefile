@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards bench-json lint lint-json selfcheck telemetry-lint soak scenarios ci
+.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards bench-json perfbench-test lint lint-json selfcheck telemetry-lint soak scenarios ci
 
 all: ci
 
@@ -75,6 +75,13 @@ bench-json:
 	@rm -f bench_raw.txt
 	@echo "wrote $(BENCH_JSON)"
 
+# Repository benchmark at short scale (perfbench/README.md): every workload
+# runs once and is checked for exact results, identical sim outputs across
+# reps, and the declared metric names. perfbench is its own Go module, so it
+# is tested from its directory.
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 .
+
 # Bounded chaos soak (README "Failure model"): 12 fixed seeds of randomized
 # fault schedules — switch outages, black-holes, loss/corruption bursts,
 # host stalls — each run end-to-end against the analytic ground truth with
@@ -95,4 +102,4 @@ scenarios:
 	$(GO) test -count=1 -run 'TestCorpusDeterminism|TestTraceRoundTripCorpus' ./internal/workload/scenario
 	$(GO) test -count=1 -run 'TestScenarioCorpus' ./ask
 
-ci: vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke-shards
+ci: vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke-shards perfbench-test

@@ -150,12 +150,15 @@ func (mc *MultiRackCluster) ReceiverTOR(receiver core.HostID) *switchd.Switch {
 // Aggregate runs one task to completion, exactly as Cluster.Aggregate but
 // on the two-tier fabric: rack-local senders are aggregated at the
 // receiver's TOR, remote senders at the receiver host. It returns an
-// error when the spec names hosts outside the cluster or a sender has no
-// stream, and propagates task-execution errors unchanged.
+// error when the spec has no senders, names hosts outside the cluster, or
+// a sender has no stream, and propagates task-execution errors unchanged.
 func (mc *MultiRackCluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
 	recv, ok := mc.daemons[spec.Receiver]
 	if !ok {
 		return nil, fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
+	}
+	if len(spec.Senders) == 0 {
+		return nil, fmt.Errorf("ask: task %d has no senders", spec.ID)
 	}
 	for _, s := range spec.Senders {
 		if _, ok := mc.daemons[s]; !ok {

@@ -74,3 +74,44 @@ func TestSparkAggregateRateCalibration(t *testing.T) {
 		t.Fatalf("scaling %f× looks linear; shared cost not applied", r56/r4)
 	}
 }
+
+// TestThreadRunCallMatchesRun runs the same contended work with Thread.Run
+// from processes and with Thread.RunCall from callbacks: completion times
+// and busy accounting must agree.
+func TestThreadRunCallMatchesRun(t *testing.T) {
+	const work = 10 * time.Microsecond
+	procs := func() ([]sim.Time, time.Duration) {
+		s := sim.New(1)
+		h := NewHost(s, 2)
+		ends := make([]sim.Time, 3)
+		for i := range ends {
+			i, th := i, h.NewThread()
+			s.Spawn("w", func(p *sim.Proc) { th.Run(p, work); ends[i] = p.Now() })
+		}
+		s.Run(0)
+		return ends, h.BusyTime()
+	}
+	calls := func() ([]sim.Time, time.Duration) {
+		s := sim.New(1)
+		h := NewHost(s, 2)
+		ends := make([]sim.Time, 3)
+		for i := range ends {
+			i, th := i, h.NewThread()
+			s.At(0, func() {
+				th.RunCall(work, func(a any) { ends[a.(int)] = s.Now() }, i)
+			})
+		}
+		s.Run(0)
+		return ends, h.BusyTime()
+	}
+	pe, pb := procs()
+	ce, cb := calls()
+	for i := range pe {
+		if pe[i] != ce[i] {
+			t.Fatalf("RunCall ends %v, Run ends %v", ce, pe)
+		}
+	}
+	if pb != cb || pb != 3*work {
+		t.Fatalf("busy time RunCall %v, Run %v, want %v", cb, pb, 3*work)
+	}
+}

@@ -39,6 +39,8 @@ type taskRelease struct {
 
 // ctrlChannel is the daemon's persistent control channel: one dedicated
 // thread, reliable delivery via the same sliding-window machinery as data.
+// Its receive loop is a kernel-callback state machine like the data
+// channels' (see dataChannel).
 type ctrlChannel struct {
 	d      *Daemon
 	flow   core.FlowKey
@@ -46,6 +48,15 @@ type ctrlChannel struct {
 	rxQ    []*netsim.Frame
 	rxSig  *sim.Signal
 	thread *cpumodel.Thread
+
+	// rxCur is the message being processed and rxFresh whether it is new
+	// (not a duplicate). rxWakeFn, rxWorkedFn and rxAckFn are rxStep,
+	// rxWorked and rxAck bound once.
+	rxCur      *netsim.Frame
+	rxFresh    bool
+	rxWakeFn   func()
+	rxWorkedFn func(any)
+	rxAckFn    func(any)
 }
 
 // ctrlWindow is the control channel's (small) sliding window.
@@ -62,7 +73,8 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	// switch twice and are not latency critical.
 	ch.win = window.NewSender(d.sim, ctrlWindow, 10*d.cfg.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
-	d.sim.Spawn("ctrl-"+ch.flow.String(), ch.rxLoop)
+	ch.rxWakeFn, ch.rxWorkedFn, ch.rxAckFn = ch.rxStep, ch.rxWorked, ch.rxAck
+	d.sim.At(d.sim.Now(), ch.rxWakeFn)
 	return ch
 }
 
@@ -82,42 +94,51 @@ func (ch *ctrlChannel) enqueue(f *netsim.Frame) {
 	ch.rxSig.Fire()
 }
 
-// rxLoop processes inbound control messages on the control thread.
-func (ch *ctrlChannel) rxLoop(p *sim.Proc) {
-	for {
-		for len(ch.rxQ) == 0 {
-			p.Wait(ch.rxSig)
-		}
+// rxStep runs the control receive loop until it has to wait: stale
+// duplicates are dropped inline, every other message holds the control
+// thread for its processing cost (resuming at rxWorked), and an empty queue
+// subscribes for more.
+func (ch *ctrlChannel) rxStep() {
+	for len(ch.rxQ) > 0 {
 		f := ch.rxQ[0]
+		ch.rxQ[0] = nil
 		ch.rxQ = ch.rxQ[1:]
-		ch.process(p, f.Pkt)
-		// process retains nothing from the packet (ctrl bodies are plain
-		// values and the ack is a fresh packet), so the frame can go back
-		// to the pool here.
+		if verdict := ch.d.dedupFor(f.Pkt.Flow).Observe(f.Pkt.Seq); verdict != window.Stale {
+			ch.rxCur, ch.rxFresh = f, verdict == window.Fresh
+			ch.thread.RunCall(cpumodel.PacketIOCost, ch.rxWorkedFn, nil)
+			return
+		}
 		f.Release()
 	}
+	ch.rxSig.Subscribe(ch.rxWakeFn)
 }
 
-func (ch *ctrlChannel) process(p *sim.Proc, pkt *wire.Packet) {
-	verdict := ch.d.dedupFor(pkt.Flow).Observe(pkt.Seq)
-	if verdict == window.Stale {
+// rxWorked handles a message once its CPU cost is paid: a fresh one is
+// delivered, then acknowledged after the local queueing delay.
+func (ch *ctrlChannel) rxWorked(any) {
+	if !ch.rxFresh {
+		ch.rxAck(nil)
 		return
 	}
-	ch.thread.Run(p, cpumodel.PacketIOCost)
-	if verdict == window.Fresh {
-		msg := pkt.Ctrl.(ctrlMsg)
-		switch body := msg.Body.(type) {
-		case taskNotify:
-			ch.d.onNotify(body)
-		case taskRelease:
-			ch.d.onRelease(body.Task)
-		default:
-			// Unknown control bodies are ignored (forward compatibility).
-		}
-		// A small queueing delay stands in for the local message queue to
-		// the application (§3.1 step ⑤).
-		p.Sleep(time.Microsecond)
+	msg := ch.rxCur.Pkt.Ctrl.(ctrlMsg)
+	switch body := msg.Body.(type) {
+	case taskNotify:
+		ch.d.onNotify(body)
+	case taskRelease:
+		ch.d.onRelease(body.Task)
+	default:
+		// Unknown control bodies are ignored (forward compatibility).
 	}
+	// A small queueing delay stands in for the local message queue to the
+	// application (§3.1 step ⑤).
+	ch.d.sim.AfterCall(time.Microsecond, ch.rxAckFn, nil)
+}
+
+// rxAck acknowledges the current message and resumes the receive loop.
+func (ch *ctrlChannel) rxAck(any) {
+	f := ch.rxCur
+	ch.rxCur = nil
+	pkt := f.Pkt
 	ack := wire.NewPacket()
 	ack.Type = wire.TypeAck
 	ack.AckFor = wire.TypeCtrl
@@ -125,4 +146,8 @@ func (ch *ctrlChannel) process(p *sim.Proc, pkt *wire.Packet) {
 	ack.Flow = pkt.Flow
 	ack.Seq = pkt.Seq
 	ch.d.sendOwned(pkt.Flow.Host, ack, 0)
+	// Nothing here retains the packet (ctrl bodies are plain values and the
+	// ack is a fresh packet), so the frame can go back to the pool.
+	f.Release()
+	ch.rxStep()
 }

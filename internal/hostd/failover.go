@@ -142,9 +142,10 @@ func (d *Daemon) observeEpoch(e uint32) {
 	d.recovering = true
 	d.recoveryGen++
 	gen := d.recoveryGen
-	// Channel recovery runs INLINE in each txLoop (no concurrent sender on
-	// the flow); setting the request here is synchronous with frame receipt,
-	// so any FIN the txLoop cuts after this point follows a replay.
+	// Channel recovery runs INLINE in each send loop (no concurrent sender
+	// on the flow); setting the request here is synchronous with frame
+	// receipt, so any FIN the send loop cuts after this point follows a
+	// replay.
 	for _, ch := range d.channels {
 		ch.recoverReq = gen
 		ch.queueSig.Fire()
@@ -191,55 +192,101 @@ func (d *Daemon) probeMisses() int {
 	return core.DefaultProbeMisses
 }
 
-// probeLoop is the health prober: while the daemon has active tasks it sends
-// switch-terminated TypeProbe packets and watches for replies. Misses back
-// off exponentially so a long outage is probed gently; the first reply from
-// a rebooted switch carries the new epoch and triggers recovery through the
-// ordinary observeEpoch path.
-func (d *Daemon) probeLoop(p *sim.Proc) {
-	misses := 0
+// probeState is the prober's resume point.
+type probeState uint8
+
+const (
+	probeIdle    probeState = iota // wait for activity, then sleep one interval
+	probeSend                      // interval over: send a probe
+	probeWait                      // wait for the reply or the deadline
+	probeVerdict                   // count a reply or a miss
+)
+
+// probeStep runs the health prober until it has to wait: while the daemon
+// has active tasks it sends switch-terminated TypeProbe packets and watches
+// for replies. Misses back off exponentially so a long outage is probed
+// gently; the first reply from a rebooted switch carries the new epoch and
+// triggers recovery through the ordinary observeEpoch path.
+func (d *Daemon) probeStep() {
 	for {
-		for d.activity == 0 {
-			misses = 0
-			p.Wait(d.activitySig)
-		}
-		iv := d.probeInterval()
-		if misses > 0 {
-			shift := misses
-			if shift > 5 {
-				shift = 5
+		switch d.probe {
+		case probeIdle:
+			if d.activity == 0 {
+				d.probeMissed = 0
+				d.activitySig.Subscribe(d.probeWakeFn)
+				return
 			}
-			iv <<= uint(shift)
-		}
-		p.Sleep(iv)
-		if d.activity == 0 || d.stalled {
-			continue
-		}
-		d.probeSeq++
-		seq := d.probeSeq
-		probe := wire.NewPacket()
-		probe.Type = wire.TypeProbe
-		probe.Flow = d.ctrlCh.flow
-		probe.Seq = seq
-		d.sendOwned(d.host, probe, 0)
-		d.met.probesSent.Inc()
-		timeout := d.cfg.RetransmitTimeout
-		deadline := d.sim.Now().Add(timeout)
-		for window.SeqLess(d.probeReplySeq, seq) && d.sim.Now() < deadline {
-			if !p.WaitTimeout(d.probeSig, deadline.Sub(d.sim.Now())) {
-				break
+			iv := d.probeInterval()
+			if d.probeMissed > 0 {
+				shift := d.probeMissed
+				if shift > 5 {
+					shift = 5
+				}
+				iv <<= uint(shift)
 			}
-		}
-		if !window.SeqLess(d.probeReplySeq, seq) {
-			misses = 0
-			continue
-		}
-		misses++
-		d.met.probeTimeouts.Inc()
-		if misses >= d.probeMisses() {
-			d.enterDegraded()
+			d.probe = probeSend
+			d.sim.After(iv, d.probeWakeFn)
+			return
+
+		case probeSend:
+			d.probe = probeIdle
+			if d.activity == 0 || d.stalled {
+				continue
+			}
+			d.probeSeq++
+			probe := wire.NewPacket()
+			probe.Type = wire.TypeProbe
+			probe.Flow = d.ctrlCh.flow
+			probe.Seq = d.probeSeq
+			d.sendOwned(d.host, probe, 0)
+			d.met.probesSent.Inc()
+			d.probeDeadline = d.sim.Now().Add(d.cfg.RetransmitTimeout)
+			d.probe = probeWait
+
+		case probeWait:
+			if now := d.sim.Now(); window.SeqLess(d.probeReplySeq, d.probeSeq) && now < d.probeDeadline {
+				// Wait for a reply with a timeout: whichever of the two
+				// wakes first resumes the prober, the other is inert.
+				d.probeSig.Subscribe(d.probeReplyFn)
+				d.probeTimer = d.sim.After(d.probeDeadline.Sub(now), d.probeTimeoutFn)
+				return
+			}
+			d.probe = probeVerdict
+
+		case probeVerdict:
+			d.probe = probeIdle
+			if !window.SeqLess(d.probeReplySeq, d.probeSeq) {
+				d.probeMissed = 0
+				continue
+			}
+			d.probeMissed++
+			d.met.probeTimeouts.Inc()
+			if d.probeMissed >= d.probeMisses() {
+				d.enterDegraded()
+			}
 		}
 	}
+}
+
+// probeOnReply is the prober's probeSig subscription. Subscriptions run in
+// the order they were made and a new one is made only once the previous
+// wait has resolved, so the ones a timeout left behind (probeStale) all run
+// before the live one, and are skipped.
+func (d *Daemon) probeOnReply() {
+	if d.probeStale > 0 {
+		d.probeStale--
+		return
+	}
+	d.probeTimer.Stop()
+	d.probeStep()
+}
+
+// probeOnTimeout ends a reply wait at its deadline; the wait's probeSig
+// subscription becomes stale.
+func (d *Daemon) probeOnTimeout() {
+	d.probeStale++
+	d.probe = probeVerdict
+	d.probeStep()
 }
 
 // recoverProc drives one recovery generation: re-allocate switch regions for

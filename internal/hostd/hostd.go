@@ -115,6 +115,9 @@ type Daemon struct {
 	// (SetTenantChannels); nil means the legacy global task→channel hash.
 	tenantCh map[core.TenantID]chRange
 
+	// kparts is decodeResidueBits' scratch for one medium key's segments.
+	kparts []uint64
+
 	fetchReqs  map[uint32]*fetchReq
 	nextFetch  uint32
 	taskSerial uint32
@@ -143,6 +146,20 @@ type Daemon struct {
 	activitySig   *sim.Signal
 	chRecoverSig  *sim.Signal
 	activeSends   map[core.TaskID]*sendTask
+
+	// Prober state machine (probeStep): resume point, consecutive misses,
+	// the reply wait's deadline and timer, and the count of reply
+	// subscriptions left behind by timeouts. probeWakeFn, probeReplyFn and
+	// probeTimeoutFn are probeStep, probeOnReply and probeOnTimeout bound
+	// once.
+	probe          probeState
+	probeMissed    int
+	probeDeadline  sim.Time
+	probeTimer     sim.Timer
+	probeStale     int
+	probeWakeFn    func()
+	probeReplyFn   func()
+	probeTimeoutFn func()
 }
 
 // New boots a daemon on host, attaches it to the network, and registers its
@@ -193,7 +210,8 @@ func New(s *sim.Simulation, net netsim.HostFabric, cpu *cpumodel.Host, cfg core.
 	}
 	d.ctrlCh = newCtrlChannel(d)
 	if d.failover {
-		s.Spawn(fmt.Sprintf("probe-h%d", host), d.probeLoop)
+		d.probeWakeFn, d.probeReplyFn, d.probeTimeoutFn = d.probeStep, d.probeOnReply, d.probeOnTimeout
+		s.At(s.Now(), d.probeWakeFn)
 	}
 	return d, nil
 }
@@ -296,7 +314,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// recycles the Packet struct and its Slots array, never the entries).
 		f.Release()
 	case wire.TypeCtrl:
-		d.ctrlCh.enqueue(f) // released by the ctrl rxLoop after processing
+		d.ctrlCh.enqueue(f) // released by the control receive loop after processing
 	case wire.TypeProbeReply:
 		if window.SeqLess(d.probeReplySeq, pkt.Seq) {
 			d.probeReplySeq = pkt.Seq
@@ -313,7 +331,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// the daemon once acknowledged.
 		d.sendAck(pkt)
 		// Spread receive processing across channel threads by flow.
-		// (Released by the channel rxLoop after processInbound.)
+		// (Released by the channel's receive loop after finishInbound.)
 		idx := (int(pkt.Flow.Host)*31 + int(pkt.Flow.Channel)) % len(d.channels)
 		d.channels[idx].enqueueRx(f)
 	default:
@@ -379,12 +397,12 @@ func (d *Daemon) sendAck(pkt *wire.Packet) {
 	d.sendOwned(pkt.Flow.Host, ack, 0)
 }
 
-// decodeResidueBits reconstructs the tuples of a data (or replay) packet
-// selected by the eff bitmap into key-value pairs for host-side aggregation.
-// eff is normally the packet's own liveness bitmap; under failover it is the
-// packet's bitmap minus the bits the receiver already merged (claimBits).
-func (d *Daemon) decodeResidueBits(pkt *wire.Packet, eff wire.Bitmap) []core.KV {
-	var out []core.KV
+// decodeResidueBits appends the tuples of a data (or replay) packet
+// selected by the eff bitmap to out, as key-value pairs for host-side
+// aggregation. eff is normally the packet's own liveness bitmap; under
+// failover it is the packet's bitmap minus the bits the receiver already
+// merged (claimBits).
+func (d *Daemon) decodeResidueBits(out []core.KV, pkt *wire.Packet, eff wire.Bitmap) []core.KV {
 	shortSlots := d.layout.ShortSlots()
 	for i := 0; i < shortSlots && i < len(pkt.Slots); i++ {
 		if !eff.Test(i) {
@@ -401,10 +419,11 @@ func (d *Daemon) decodeResidueBits(pkt *wire.Packet, eff wire.Bitmap) []core.KV 
 		if first >= len(pkt.Slots) || !eff.Test(first) {
 			continue
 		}
-		kparts := make([]uint64, m)
+		kparts := d.kparts[:0]
 		for j := 0; j < m; j++ {
-			kparts[j] = pkt.Slots[first+j].KPart
+			kparts = append(kparts, pkt.Slots[first+j].KPart)
 		}
+		d.kparts = kparts
 		out = append(out, core.KV{
 			Key: d.layout.ReconstructMedium(kparts),
 			Val: pkt.Slots[first+m-1].Val,

@@ -8,13 +8,13 @@ import (
 // paceStream adapts a timed stream to the packetizer's paced-source
 // contract, anchoring the stream's arrival offsets at the virtual time the
 // channel starts serving the task. The returned stream yields only tuples
-// whose arrival time has passed (and reports !ok otherwise); stall sleeps
-// on the sim clock until the next arrival is due, returning false at EOF.
-// Together they make the send loop consume the trace on the sim clock: the
-// packetizer packs whatever has arrived, flushes partial packets on a lull,
-// and parks until the next arrival instead of streaming back-to-back.
-func paceStream(p *sim.Proc, ts core.TimedStream) (core.Stream, func() bool) {
-	start := p.Now()
+// whose arrival time has passed (and reports !ok otherwise); stall reports
+// when the next arrival is due, or false at EOF. Together they make the
+// send loop consume the trace on the sim clock: the packetizer packs
+// whatever has arrived, flushes partial packets on a lull, and the channel
+// waits until the next arrival instead of streaming back-to-back.
+func paceStream(s *sim.Simulation, ts core.TimedStream) (core.Stream, func() (sim.Time, bool)) {
+	start := s.Now()
 	var pending core.TimedKV
 	has, eof := false, false
 	fetch := func() {
@@ -25,19 +25,18 @@ func paceStream(p *sim.Proc, ts core.TimedStream) (core.Stream, func() bool) {
 	}
 	stream := func() (core.KV, bool) {
 		fetch()
-		if has && start.Add(pending.At) <= p.Now() {
+		if has && start.Add(pending.At) <= s.Now() {
 			has = false
 			return pending.KV, true
 		}
 		return core.KV{}, false
 	}
-	stall := func() bool {
+	stall := func() (sim.Time, bool) {
 		fetch()
 		if !has {
-			return false
+			return 0, false
 		}
-		p.SleepUntil(start.Add(pending.At))
-		return true
+		return start.Add(pending.At), true
 	}
 	return stream, stall
 }

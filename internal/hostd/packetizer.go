@@ -3,6 +3,7 @@ package hostd
 import (
 	"repro/internal/core"
 	"repro/internal/keyspace"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -24,12 +25,16 @@ type packetizer struct {
 	layout *keyspace.Layout
 	stream core.Stream
 	// stall, when non-nil, marks the stream as paced (a timed replay): a
-	// !ok from the stream means "no tuple due yet", not EOF. stall blocks
-	// (on the sim clock) until the next tuple is due and returns true, or
-	// returns false at true EOF. pull consults it only with empty buffers;
-	// with tuples queued it flushes a partial packet first, so a lull in
-	// arrivals never holds aggregated data hostage (NIC-style idle flush).
-	stall func() bool
+	// !ok from the stream means "no tuple due yet", not EOF. stall reports
+	// the virtual time the next tuple is due, or ok=false at true EOF. pull
+	// consults it only with empty buffers; with tuples queued it flushes a
+	// partial packet first, so a lull in arrivals never holds aggregated
+	// data hostage (NIC-style idle flush).
+	stall func() (due sim.Time, ok bool)
+	// waiting marks that the last next returned no packet because the paced
+	// source has nothing due before due: the caller calls next again then.
+	waiting bool
+	due     sim.Time
 	// flush marks that the last pull stopped on a not-yet-due tuple with
 	// data buffered: next must emit what it has even though no bucket set
 	// is full.
@@ -40,7 +45,7 @@ type packetizer struct {
 	part keyspace.Partition
 	// buckets[u] queues tuples for logical unit u: units 0..shortSlots-1
 	// are short slots, then one per medium group.
-	buckets  [][]core.KV
+	buckets  []bucket
 	nonEmpty int
 	buffered int
 	longQ    []wire.LongKV
@@ -48,6 +53,35 @@ type packetizer struct {
 	maxBuf   int
 	valLo    int64
 	valHi    int64
+}
+
+// bucket is one unit's FIFO of buffered tuples. Popping advances head
+// instead of re-slicing, so the backing array is reused across packets
+// rather than re-grown by every append.
+type bucket struct {
+	q    []core.KV
+	head int
+}
+
+func (b *bucket) empty() bool { return b.head == len(b.q) }
+
+func (b *bucket) push(kv core.KV) {
+	if len(b.q) == cap(b.q) && b.head > 0 && b.head >= len(b.q)/2 {
+		// Full with at least half of it popped: slide the live tail down
+		// instead of growing.
+		b.q = b.q[:copy(b.q, b.q[b.head:])]
+		b.head = 0
+	}
+	b.q = append(b.q, kv)
+}
+
+func (b *bucket) pop() core.KV {
+	kv := b.q[b.head]
+	b.head++
+	if b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
+	return kv
 }
 
 // bufferPerUnit sizes the total buffering bound: units × bufferPerUnit
@@ -62,7 +96,7 @@ func newPacketizer(layout *keyspace.Layout, stream core.Stream) *packetizer {
 	return &packetizer{
 		layout:  layout,
 		stream:  stream,
-		buckets: make([][]core.KV, layout.LogicalUnits()),
+		buckets: make([]bucket, layout.LogicalUnits()),
 		maxBuf:  bufferPerUnit * layout.LogicalUnits(),
 		valLo:   -(int64(1) << (n - 1)),
 		valHi:   int64(1)<<(n-1) - 1,
@@ -70,19 +104,20 @@ func newPacketizer(layout *keyspace.Layout, stream core.Stream) *packetizer {
 }
 
 // newPacedPacketizer builds a packetizer over a paced source: stream yields
-// only tuples already due, stall waits (on the sim clock) for the next
-// arrival. See the stall field for the emission policy.
-func newPacedPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() bool) *packetizer {
+// only tuples already due, stall reports when the next one arrives. See the
+// stall field for the emission policy.
+func newPacedPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() (sim.Time, bool)) *packetizer {
 	pz := newPacketizer(layout, stream)
 	pz.stall = stall
 	return pz
 }
 
 // pull moves tuples from the stream into buckets until a packet can be
-// emitted or the stream ends.
+// emitted, the stream ends, or a paced stream has nothing due (waiting).
 func (pz *packetizer) pull() {
 	shortSlots := pz.layout.ShortSlots()
 	pz.flush = false
+	pz.waiting = false
 	for !pz.eof {
 		if pz.nonEmpty == len(pz.buckets) && len(pz.buckets) > 0 {
 			return // full packet available
@@ -94,16 +129,18 @@ func (pz *packetizer) pull() {
 				return
 			}
 			// Paced source: the next tuple is not due yet. Flush whatever
-			// is queued before waiting; only park with empty buffers.
+			// is queued before waiting; only wait with empty buffers.
 			if pz.buffered > 0 || len(pz.longQ) > 0 {
 				pz.flush = true
 				return
 			}
-			if !pz.stall() {
+			due, more := pz.stall()
+			if !more {
 				pz.eof = true
 				return
 			}
-			continue
+			pz.waiting, pz.due = true, due
+			return
 		}
 		if kv.Val < pz.valLo || kv.Val > pz.valHi {
 			// Value exceeds the aggregator vPart: host-side path.
@@ -127,10 +164,10 @@ func (pz *packetizer) pull() {
 			}
 			continue
 		}
-		if len(pz.buckets[unit]) == 0 {
+		if pz.buckets[unit].empty() {
 			pz.nonEmpty++
 		}
-		pz.buckets[unit] = append(pz.buckets[unit], kv)
+		pz.buckets[unit].push(kv)
 		pz.buffered++
 		if pz.buffered >= pz.maxBuf {
 			return // buffering bound: emit with blank slots
@@ -140,10 +177,14 @@ func (pz *packetizer) pull() {
 
 // next returns the next packet to transmit. tuples is the number of logical
 // tuples it carries (for CPU accounting); ok is false when the stream and
-// all buffers are exhausted. The returned packet lacks Task/Flow/Seq, which
-// the data channel assigns.
+// all buffers are exhausted, or — with waiting set — when a paced stream
+// has nothing due before due. The returned packet lacks Task/Flow/Seq,
+// which the data channel assigns.
 func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	pz.pull()
+	if pz.waiting {
+		return nil, 0, false
+	}
 	// Long-key packets flush when saturated, at EOF before final data
 	// packets (order is irrelevant; both are reliable), or on an arrival
 	// lull when only long keys are queued.
@@ -153,7 +194,7 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 			n = maxLongPerPacket
 		}
 		long := append([]wire.LongKV(nil), pz.longQ[:n]...)
-		pz.longQ = pz.longQ[n:]
+		pz.longQ = pz.longQ[:copy(pz.longQ, pz.longQ[n:])]
 		return &wire.Packet{Type: wire.TypeLongKey, Long: long}, n, true
 	}
 	if pz.nonEmpty == 0 {
@@ -174,13 +215,13 @@ func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
 	pkt := &wire.Packet{Type: wire.TypeData, Slots: make([]wire.Slot, cfg.NumAAs)}
 	tuples := 0
 	for u := range pz.buckets {
-		if len(pz.buckets[u]) == 0 {
+		b := &pz.buckets[u]
+		if b.empty() {
 			continue
 		}
-		kv := pz.buckets[u][0]
-		pz.buckets[u] = pz.buckets[u][1:]
+		kv := b.pop()
 		pz.buffered--
-		if len(pz.buckets[u]) == 0 {
+		if b.empty() {
 			pz.nonEmpty--
 		}
 		if u < shortSlots {

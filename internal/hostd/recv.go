@@ -265,22 +265,25 @@ func (d *Daemon) SetTenantChannels(tenant core.TenantID, lo, n int) error {
 	return nil
 }
 
-// processInbound handles one flow packet on a channel's receive thread.
-func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
+// beginInbound classifies one flow packet on a channel's receive thread
+// and decodes its tuples into the channel's scratch. It returns the CPU
+// cost of processing the packet — zero for a stale duplicate, which needs
+// none — and finishInbound completes the packet once the cost is paid.
+func (d *Daemon) beginInbound(ch *dataChannel, f *netsim.Frame) time.Duration {
 	pkt := f.Pkt
 	// The transport ACK went out at arrival (HandleFrame); here the packet
 	// is classified and merged exactly once.
 	verdict := d.dedupFor(pkt.Flow).Observe(pkt.Seq)
 	if verdict == window.Stale {
-		return
+		return 0
 	}
 	if verdict == window.Duplicate {
-		ch.rxThread.Run(p, cpumodel.PacketIOCost)
-		return
+		ch.rxMerge = false
+		return cpumodel.PacketIOCost
 	}
 
 	t := d.recvTasks[pkt.Task]
-	var kvs []core.KV
+	kvs := ch.rxKVs[:0]
 	longTuples := 0
 	switch pkt.Type {
 	case wire.TypeData:
@@ -288,7 +291,7 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
 		if d.failover && t != nil && !t.completed {
 			eff = t.claimBits(pkt.Flow, pkt.Seq, pkt.Bitmap)
 		}
-		kvs = d.decodeResidueBits(pkt, eff)
+		kvs = d.decodeResidueBits(kvs, pkt, eff)
 	case wire.TypeReplay:
 		// Failover replay: merge only the bits not already counted from the
 		// original packet's residue path, and nothing at all once switch
@@ -296,7 +299,7 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
 		// then or surrendered by the pre-reboot switch — never both).
 		if t != nil && !t.completed && !t.switchCommitted && t.merged != nil {
 			eff := t.claimBits(pkt.Flow, pkt.OrigSeq, pkt.Bitmap)
-			kvs = d.decodeResidueBits(pkt, eff)
+			kvs = d.decodeResidueBits(kvs, pkt, eff)
 		}
 	case wire.TypeLongKey:
 		for _, lk := range pkt.Long {
@@ -304,8 +307,18 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
 		}
 		longTuples = len(kvs)
 	}
-	cost := cpumodel.PacketIOCost + time.Duration(len(kvs))*cpumodel.HostAggregateCost
-	ch.rxThread.Run(p, cost)
+	ch.rxKVs, ch.rxTask, ch.rxLong, ch.rxMerge = kvs, t, longTuples, true
+	return cpumodel.PacketIOCost + time.Duration(len(kvs))*cpumodel.HostAggregateCost
+}
+
+// finishInbound merges the tuples beginInbound decoded from f into their
+// task's result, once the receive thread has paid their CPU cost.
+func (d *Daemon) finishInbound(ch *dataChannel, f *netsim.Frame) {
+	if !ch.rxMerge {
+		return // duplicate: the cost was the whole of it
+	}
+	pkt, t, kvs, longTuples := f.Pkt, ch.rxTask, ch.rxKVs, ch.rxLong
+	ch.rxTask = nil
 	d.met.packetsReceived.Inc()
 
 	if t != nil && !t.completed {

@@ -64,9 +64,46 @@ type RegisterArray struct {
 	stage     int
 	widthBits int
 	mask      uint64
-	entries   []uint64
-	lastPass  uint64
-	accesses  uint64
+	n         int
+	// pages holds the entries, entryPage to a page. A page is allocated on
+	// its first nonzero write and a nil page reads as zeros: a run touches
+	// only the rows its keys hash to, and allocating a switch's whole SRAM
+	// up front costs a full clear of that memory whenever the heap reuses a
+	// dropped cluster's.
+	pages    [][]uint64
+	lastPass uint64
+	accesses uint64
+}
+
+// entryPage is the number of entries in one RegisterArray page.
+const entryPage = 4096
+
+func (ra *RegisterArray) load(idx int) uint64 {
+	if pg := ra.pages[idx/entryPage]; pg != nil {
+		return pg[idx%entryPage]
+	}
+	return 0
+}
+
+// store writes v (already masked) to entry idx, allocating its page on the
+// first nonzero write.
+func (ra *RegisterArray) store(idx int, v uint64) {
+	pg := ra.pages[idx/entryPage]
+	if pg == nil {
+		if v == 0 {
+			return
+		}
+		pg = make([]uint64, min(entryPage, ra.n-idx/entryPage*entryPage))
+		ra.pages[idx/entryPage] = pg
+	}
+	pg[idx%entryPage] = v
+}
+
+// checkIndex panics on an entry index outside the array.
+func (ra *RegisterArray) checkIndex(idx int) {
+	if idx < 0 || idx >= ra.n {
+		panic(fmt.Sprintf("pisa: array %q index %d out of range [0,%d)", ra.name, idx, ra.n))
+	}
 }
 
 // NewPipeline returns an empty pipeline with the given resources.
@@ -122,7 +159,8 @@ func (p *Pipeline) AddArray(stageIdx int, name string, entries, widthBits int) (
 		stage:     stageIdx,
 		widthBits: widthBits,
 		mask:      mask,
-		entries:   make([]uint64, entries),
+		n:         entries,
+		pages:     make([][]uint64, (entries+entryPage-1)/entryPage),
 	}
 	st.arrays = append(st.arrays, ra)
 	return ra, nil
@@ -178,7 +216,7 @@ func (p *Pipeline) Begin() *Pass {
 func (ra *RegisterArray) Name() string { return ra.name }
 
 // Len returns the number of entries.
-func (ra *RegisterArray) Len() int { return len(ra.entries) }
+func (ra *RegisterArray) Len() int { return ra.n }
 
 // WidthBits returns the per-entry width.
 func (ra *RegisterArray) WidthBits() int { return ra.widthBits }
@@ -199,14 +237,12 @@ func (ra *RegisterArray) RMW(ps *Pass, idx int, action func(cur uint64) (next, r
 		panic(fmt.Sprintf("pisa: pass moved backwards to stage %d (array %q) after stage %d",
 			ra.stage, ra.name, ps.curStage))
 	}
-	if idx < 0 || idx >= len(ra.entries) {
-		panic(fmt.Sprintf("pisa: array %q index %d out of range [0,%d)", ra.name, idx, len(ra.entries)))
-	}
+	ra.checkIndex(idx)
 	ps.curStage = ra.stage
 	ra.lastPass = ps.id
 	ra.accesses++
-	next, result := action(ra.entries[idx])
-	ra.entries[idx] = next & ra.mask
+	next, result := action(ra.load(idx))
+	ra.store(idx, next&ra.mask)
 	return result
 }
 
@@ -214,19 +250,25 @@ func (ra *RegisterArray) RMW(ps *Pass, idx int, action func(cur uint64) (next, r
 // Control-plane access does not contend with the data plane in this model;
 // on real hardware it is orders of magnitude slower, which callers model
 // with explicit latency.
-func (ra *RegisterArray) ControlRead(idx int) uint64 { return ra.entries[idx] }
+func (ra *RegisterArray) ControlRead(idx int) uint64 {
+	ra.checkIndex(idx)
+	return ra.load(idx)
+}
 
 // ControlWrite writes entry idx from the control plane.
-func (ra *RegisterArray) ControlWrite(idx int, v uint64) { ra.entries[idx] = v & ra.mask }
+func (ra *RegisterArray) ControlWrite(idx int, v uint64) {
+	ra.checkIndex(idx)
+	ra.store(idx, v&ra.mask)
+}
 
 // ControlFill sets entries [lo,hi) to v from the control plane.
 func (ra *RegisterArray) ControlFill(lo, hi int, v uint64) {
-	if lo < 0 || hi > len(ra.entries) || lo > hi {
+	if lo < 0 || hi > ra.n || lo > hi {
 		panic(fmt.Sprintf("pisa: ControlFill range [%d,%d) out of bounds for %q", lo, hi, ra.name))
 	}
 	v &= ra.mask
 	for i := lo; i < hi; i++ {
-		ra.entries[i] = v
+		ra.store(i, v)
 	}
 }
 
@@ -243,7 +285,7 @@ func (p *Pipeline) Describe() string {
 		}
 		fmt.Fprintf(&b, "stage %2d: %4d KB", i, st.sramBytes>>10)
 		for _, ra := range st.arrays {
-			fmt.Fprintf(&b, "  [%s: %d x %db]", ra.name, len(ra.entries), ra.widthBits)
+			fmt.Fprintf(&b, "  [%s: %d x %db]", ra.name, ra.n, ra.widthBits)
 		}
 		b.WriteByte('\n')
 	}

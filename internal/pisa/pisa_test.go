@@ -221,3 +221,45 @@ func TestDescribe(t *testing.T) {
 		t.Fatalf("empty stage printed:\n%s", d)
 	}
 }
+
+// TestPagedEntries covers the lazily paged entry store across a page
+// boundary and a short last page: untouched entries read zero, zero writes
+// allocate nothing, and a nonzero write allocates only its own page.
+func TestPagedEntries(t *testing.T) {
+	p := NewPipeline(DefaultConfig())
+	n := entryPage + 5
+	ra := p.MustAddArray(0, "a", n, 32)
+	allocated := func() (k int) {
+		for _, pg := range ra.pages {
+			if pg != nil {
+				k++
+			}
+		}
+		return k
+	}
+	ra.ControlFill(0, n, 0)
+	ra.ControlWrite(3, 0)
+	if got := allocated(); got != 0 {
+		t.Fatalf("%d pages allocated by zero writes, want 0", got)
+	}
+	ps := p.Begin()
+	ra.RMW(ps, n-1, func(cur uint64) (uint64, uint64) { return cur + 9, cur })
+	if got := allocated(); got != 1 || len(ra.pages[1]) != 5 {
+		t.Fatalf("after one write: %d pages, last page %d entries; want 1 page of 5", got, len(ra.pages[1]))
+	}
+	for _, i := range []int{0, entryPage - 1, entryPage, n - 1} {
+		want := uint64(0)
+		if i == n-1 {
+			want = 9
+		}
+		if got := ra.ControlRead(i); got != want {
+			t.Fatalf("entry %d = %d, want %d", i, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ControlRead past the last entry of a short page did not panic")
+		}
+	}()
+	ra.ControlRead(n)
+}

@@ -51,11 +51,9 @@ func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
-	prev := p.sim.inProc
-	p.sim.inProc = p
+	p.sim.dispatches++
 	p.wake <- struct{}{}
 	<-p.yield
-	p.sim.inProc = prev
 }
 
 // park returns control to the scheduler and blocks until re-dispatched. The
@@ -131,9 +129,12 @@ func (p *Proc) WaitTimeout(sg *Signal, d time.Duration) (fired bool) {
 // event loop must run it. In a sharded group a process can wait on a
 // signal or resource owned by another lane; routing the wake to the
 // waiter's home lane (rather than the owner's) keeps every process on the
-// lane it was spawned on.
+// lane it was spawned on. Continuation waiters (Resource.AcquireCall) carry
+// afn+arg instead of fn and always live on the owner's lane.
 type waiter struct {
 	fn   func()
+	afn  func(any)
+	arg  any
 	home *Simulation
 }
 
@@ -160,12 +161,16 @@ func (sg *Signal) subscribeFrom(home *Simulation, fn func()) {
 }
 
 // Fire schedules all pending subscribers to run at the current virtual time.
+// It only schedules and never runs a callback inline, so nothing can
+// subscribe while the list is walked: the backing array is cleared and
+// reused, keeping steady-state Subscribe allocation-free.
 func (sg *Signal) Fire() {
 	ws := sg.waiters
-	sg.waiters = nil
-	for _, w := range ws {
-		sg.sim.wakeTo(w.home, w.fn)
+	for i := range ws {
+		sg.sim.wakeTo(ws[i].home, ws[i].fn)
+		ws[i] = waiter{}
 	}
+	sg.waiters = ws[:0]
 }
 
 // Waiting returns the number of pending subscribers.
@@ -231,6 +236,19 @@ func (r *Resource) Acquire(p *Proc) {
 	// Ownership was transferred to us by Release before dispatch.
 }
 
+// AcquireCall is the continuation form of Acquire for callback-driven state
+// machines. If a unit is free it is taken inline and AcquireCall reports
+// true; fn is not called. Otherwise the caller joins the FIFO queue, fn(arg)
+// runs on the resource's simulation once Release hands it the unit, and
+// AcquireCall reports false.
+func (r *Resource) AcquireCall(fn func(any), arg any) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	r.queue = append(r.queue, waiter{afn: fn, arg: arg})
+	return false
+}
+
 // TryAcquire takes a unit without blocking, reporting success.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity {
@@ -250,7 +268,11 @@ func (r *Resource) Release() {
 		// Hand the unit directly to the next waiter: inUse stays constant.
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		r.sim.wakeTo(next.home, next.fn)
+		if next.afn != nil {
+			r.sim.AtCall(r.sim.now, next.afn, next.arg)
+		} else {
+			r.sim.wakeTo(next.home, next.fn)
+		}
 		return
 	}
 	r.account()

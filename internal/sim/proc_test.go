@@ -276,3 +276,43 @@ func TestWaitTimeoutRepeated(t *testing.T) {
 		t.Fatalf("end = %v", end)
 	}
 }
+
+// TestResourceAcquireCall checks the continuation form against the process
+// form: a free unit is taken inline, a queued caller is handed the unit at
+// Release (InUse stays constant) and resumes on an event at that instant,
+// and process and continuation waiters share one FIFO queue.
+func TestResourceAcquireCall(t *testing.T) {
+	s := New(1)
+	r := NewResource(s, 1)
+	if !r.AcquireCall(func(any) { t.Fatal("inline acquire ran its continuation") }, nil) {
+		t.Fatal("AcquireCall on a free resource did not acquire inline")
+	}
+	var order []string
+	var at []Time
+	s.Spawn("p", func(p *Proc) {
+		r.Acquire(p)
+		order, at = append(order, "proc"), append(at, p.Now())
+		p.Sleep(time.Microsecond)
+		r.Release()
+	})
+	s.At(1, func() {
+		if r.AcquireCall(func(a any) {
+			order, at = append(order, a.(string)), append(at, s.Now())
+			if r.InUse() != 1 {
+				t.Errorf("continuation resumed with InUse=%d, want the handed-over unit", r.InUse())
+			}
+			r.Release()
+		}, "call") {
+			t.Error("AcquireCall on a held resource acquired inline")
+		}
+	})
+	s.At(Time(5*time.Microsecond), r.Release)
+	s.Run(0)
+	want := []Time{Time(5 * time.Microsecond), Time(6 * time.Microsecond)}
+	if len(order) != 2 || order[0] != "proc" || order[1] != "call" || at[0] != want[0] || at[1] != want[1] {
+		t.Fatalf("grants %v at %v, want [proc call] at %v", order, at, want)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Fatalf("InUse=%d QueueLen=%d after all releases", r.InUse(), r.QueueLen())
+	}
+}

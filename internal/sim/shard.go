@@ -187,6 +187,16 @@ func (g *ShardGroup) Lanes() int { return len(g.lanes) }
 // Stats returns a copy of the scheduler counters.
 func (g *ShardGroup) Stats() ShardGroupStats { return g.stats }
 
+// ProcDispatches sums Simulation.ProcDispatches over the root and every
+// lane. Call it while the group is not running.
+func (g *ShardGroup) ProcDispatches() uint64 {
+	n := g.root.dispatches
+	for _, l := range g.lanes {
+		n += l.dispatches
+	}
+	return n
+}
+
 // laneKey orders simulations inside a serial window: shard lanes by
 // index, the root last. A root event at time t must run after shard
 // events at t that were pending when the root was woken (the wake fence

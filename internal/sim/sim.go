@@ -8,11 +8,17 @@
 //
 // Two programming styles are supported:
 //
-//   - Callback style: schedule closures with At/After and build state
-//     machines (used by the network and switch models).
+//   - Callback style: schedule closures with At/After (or pre-bound
+//     functions with AtCall/AfterCall), subscribe to Signals, and take
+//     Resources with AcquireCall, building explicit state machines (used by
+//     the network and switch models and by the host daemon's data, control
+//     and probe loops, whose every step is a kernel event).
 //   - Process style: Spawn a goroutine-backed Proc that can Sleep, wait on
 //     Signals, and acquire Resources, which reads like straight-line code
-//     (used by host threads, mappers, reducers, and trainers).
+//     (used by per-task orchestration — task drivers, teardown, swaps,
+//     fetches — and by mappers, reducers, trainers, and baselines). Every
+//     block and wake is a pair of goroutine handoffs (ProcDispatches counts
+//     them), so hot loops use callback style instead.
 //
 // Only one goroutine executes simulation logic at any moment; the kernel
 // hands control back and forth between the event loop and at most one parked
@@ -129,9 +135,9 @@ type Simulation struct {
 	running bool
 	stopped bool
 
-	// current non-nil while the loop is inside an event callback; used to
-	// catch illegal blocking calls from plain callbacks.
-	inProc *Proc
+	// dispatches counts Proc dispatches: each is one goroutine handoff
+	// (see ProcDispatches).
+	dispatches uint64
 
 	// Sharded parallel execution (see shard.go). group and lane are fixed at
 	// construction: nil/laneRoot for a standalone serial simulation, which
@@ -314,6 +320,12 @@ func (s *Simulation) Run(limit Time) Time {
 
 // RunFor runs the simulation for at most d of virtual time from now.
 func (s *Simulation) RunFor(d time.Duration) Time { return s.Run(s.now.Add(d)) }
+
+// ProcDispatches returns how many times a Proc was handed control on this
+// simulation. Each dispatch is a pair of goroutine handoffs, the dominant
+// wall-clock cost of process style; the counter is deterministic, so tests
+// pin it instead of timing. ShardGroup.ProcDispatches sums a group.
+func (s *Simulation) ProcDispatches() uint64 { return s.dispatches }
 
 // Pending returns the number of scheduled (non-cancelled) events.
 func (s *Simulation) Pending() int { return s.pending }

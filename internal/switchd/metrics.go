@@ -127,16 +127,19 @@ func (sw *Switch) taskEntryOf(task core.TaskID) *taskEntry {
 	return te
 }
 
-// cumulative reads the entry's monotonic counters.
+// cumulative reads the entry's monotonic counters. Ingress counts a tuple
+// (packet) in before it counts its outcome, so reading every outcome before
+// its total keeps a snapshot taken off the simulation goroutine consistent:
+// outcomes never exceed totals.
 func (te *taskEntry) cumulative() TaskStats {
-	return TaskStats{
-		TuplesIn:         te.tuplesIn.Value(),
-		TuplesAggregated: te.tuplesAggregated.Value(),
-		TuplesConflicted: te.tuplesConflicted.Value(),
-		DataPackets:      te.dataPackets.Value(),
-		AckedPackets:     te.ackedPackets.Value(),
-		ForwardedPackets: te.forwardedPackets.Value(),
-	}
+	var s TaskStats
+	s.TuplesAggregated = te.tuplesAggregated.Value()
+	s.TuplesConflicted = te.tuplesConflicted.Value()
+	s.TuplesIn = te.tuplesIn.Value()
+	s.AckedPackets = te.ackedPackets.Value()
+	s.ForwardedPackets = te.forwardedPackets.Value()
+	s.DataPackets = te.dataPackets.Value()
+	return s
 }
 
 func sub(a, b TaskStats) TaskStats {

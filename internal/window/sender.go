@@ -100,6 +100,13 @@ type Sender struct {
 	backoff    bool // exponential per-flight retransmission backoff
 	err        error
 
+	// retransmitFn is s.retransmit, bound once so arming a flight's timer
+	// costs no closure.
+	retransmitFn func(any)
+	// parked marks a TrySend caller waiting for window space, so its
+	// stall/resume trace pair spans the wait.
+	parked bool
+
 	cc   *congestion // nil unless EnableCongestionControl
 	met  senderMetrics
 	tr   *telemetry.Tracer
@@ -125,7 +132,7 @@ func NewSender(s *sim.Simulation, w int, timeout time.Duration, transmit func(*w
 	if transmit == nil {
 		panic("window: nil transmit")
 	}
-	return &Sender{
+	snd := &Sender{
 		sim:      s,
 		w:        uint32(w),
 		timeout:  timeout,
@@ -142,6 +149,8 @@ func NewSender(s *sim.Simulation, w int, timeout time.Duration, transmit func(*w
 			resets:      &telemetry.Counter{},
 		},
 	}
+	snd.retransmitFn = snd.retransmit
+	return snd
 }
 
 // Instrument moves the window's counters onto a shared registry under
@@ -310,6 +319,36 @@ func (s *Sender) SendBlocking(p *sim.Proc, pkt *wire.Packet) error {
 	return nil
 }
 
+// TrySend is the continuation form of SendBlocking for callback-driven
+// callers. If the window has room it sends pkt and reports done; if the
+// window has failed it reports done with the abort error. Otherwise it
+// subscribes wake to the window-space signal and reports !done: the caller
+// returns to the event loop and calls TrySend again with the same packet
+// when wake runs. One caller at a time may be parked in TrySend.
+func (s *Sender) TrySend(pkt *wire.Packet, wake func()) (done bool, err error) {
+	if !s.CanSend() {
+		if s.err != nil {
+			s.parked = false
+			return true, s.err
+		}
+		if !s.parked {
+			s.parked = true
+			s.tr.Emit(telemetry.CompWindow, "window_stall", int64(pkt.Task), int64(s.nextSeq-s.base), 0)
+		}
+		s.spaceSig.Subscribe(wake)
+		return false, nil
+	}
+	if s.parked {
+		s.parked = false
+		s.tr.Emit(telemetry.CompWindow, "window_resume", int64(pkt.Task), int64(s.nextSeq-s.base), 0)
+	}
+	if s.err != nil {
+		return true, s.err
+	}
+	s.Send(pkt)
+	return true, nil
+}
+
 // WaitIdle blocks p until all sent packets are acknowledged, or returns the
 // abort error if the window fails first.
 func (s *Sender) WaitIdle(p *sim.Proc) error {
@@ -322,6 +361,21 @@ func (s *Sender) WaitIdle(p *sim.Proc) error {
 	return s.err
 }
 
+// TryWaitIdle is the continuation form of WaitIdle: it reports done (with
+// the abort error, if any) when nothing is in flight or the window has
+// failed, and otherwise subscribes wake to the idle signal and reports
+// !done; the caller calls TryWaitIdle again when wake runs.
+func (s *Sender) TryWaitIdle(wake func()) (done bool, err error) {
+	if !s.Idle() {
+		if s.err != nil {
+			return true, s.err
+		}
+		s.idleSig.Subscribe(wake)
+		return false, nil
+	}
+	return true, s.err
+}
+
 func (s *Sender) arm(f *flight) {
 	to := s.timeout
 	if s.backoff && f.tries > 0 {
@@ -331,21 +385,25 @@ func (s *Sender) arm(f *flight) {
 		}
 		to = s.timeout << uint(shift)
 	}
-	f.timer = s.sim.After(to, func() {
-		// Still unacked: retransmit and re-arm, unless the retry budget is
-		// exhausted — then the peer is presumed dead and the window aborts.
-		if s.maxRetries > 0 && f.tries >= s.maxRetries {
-			s.fail(fmt.Errorf("window: packet seq=%d unacknowledged after %d retransmissions", f.pkt.Seq, f.tries))
-			return
-		}
-		f.tries++
-		s.met.retransmits.Inc()
-		if s.cc != nil {
-			s.cc.onTimeout()
-		}
-		s.transmit(f.pkt)
-		s.arm(f)
-	})
+	f.timer = s.sim.AfterCall(to, s.retransmitFn, f)
+}
+
+// retransmit is a flight's timeout: still unacked, so retransmit and re-arm,
+// unless the retry budget is exhausted — then the peer is presumed dead and
+// the window aborts.
+func (s *Sender) retransmit(a any) {
+	f := a.(*flight)
+	if s.maxRetries > 0 && f.tries >= s.maxRetries {
+		s.fail(fmt.Errorf("window: packet seq=%d unacknowledged after %d retransmissions", f.pkt.Seq, f.tries))
+		return
+	}
+	f.tries++
+	s.met.retransmits.Inc()
+	if s.cc != nil {
+		s.cc.onTimeout()
+	}
+	s.transmit(f.pkt)
+	s.arm(f)
 }
 
 // Ack processes an acknowledgment for seq. Duplicate or unknown ACKs are

@@ -198,3 +198,70 @@ func TestSenderConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestTrySendParksOnFullWindow drives the continuation forms: TrySend sends
+// inline while the window has room, parks (subscribing its wake) when it is
+// full, and completes when re-invoked after an ACK opens space; TryWaitIdle
+// parks until the last ACK and then reports done.
+func TestTrySendParksOnFullWindow(t *testing.T) {
+	s := sim.New(1)
+	w := NewSender(s, 2, time.Millisecond, func(p *wire.Packet) {})
+	wakes := 0
+	wake := func() { wakes++ }
+	for i := 0; i < 2; i++ {
+		if done, err := w.TrySend(mkPkt(), wake); !done || err != nil {
+			t.Fatalf("TrySend %d with room: done=%v err=%v", i, done, err)
+		}
+	}
+	third := mkPkt()
+	if done, _ := w.TrySend(third, wake); done {
+		t.Fatal("TrySend on a full window reported done")
+	}
+	if done, _ := w.TryWaitIdle(wake); done {
+		t.Fatal("TryWaitIdle with packets in flight reported done")
+	}
+	w.Ack(0)
+	// Unacked flights re-arm forever: run just past the wake.
+	s.RunFor(time.Microsecond)
+	if wakes != 1 {
+		t.Fatalf("%d wakes after the window opened, want 1 (space)", wakes)
+	}
+	if done, err := w.TrySend(third, wake); !done || err != nil || third.Seq != 2 {
+		t.Fatalf("re-invoked TrySend: done=%v err=%v seq=%d", done, err, third.Seq)
+	}
+	w.Ack(1)
+	w.Ack(2)
+	s.Run(0)
+	if wakes != 2 {
+		t.Fatalf("%d wakes after the window drained, want 2 (space, idle)", wakes)
+	}
+	if done, err := w.TryWaitIdle(wake); !done || err != nil {
+		t.Fatalf("TryWaitIdle on an idle window: done=%v err=%v", done, err)
+	}
+}
+
+// TestTrySendReportsAbort: a parked TrySend caller woken by a window abort
+// gets the abort error instead of sending.
+func TestTrySendReportsAbort(t *testing.T) {
+	s := sim.New(1)
+	w := NewSender(s, 1, 10*time.Microsecond, func(p *wire.Packet) {})
+	w.SetMaxRetries(1)
+	pkt := mkPkt()
+	var err error
+	var retry func()
+	retry = func() {
+		var done bool
+		if done, err = w.TrySend(pkt, retry); !done {
+			return
+		}
+		if err == nil {
+			t.Error("TrySend succeeded on an aborted window")
+		}
+	}
+	w.Send(mkPkt())
+	retry()
+	s.Run(0)
+	if err == nil || !w.Failed() {
+		t.Fatalf("parked TrySend after abort: err=%v failed=%v", err, w.Failed())
+	}
+}

@@ -13,7 +13,7 @@ import (
 // free list recycles both: NewPacket/ClonePooled draw from a sync.Pool, and
 // receivers call Release at the point where they provably hold the last
 // reference (switchd ingress after consumption, hostd after inline handling
-// or processInbound).
+// or the receive loop's finishInbound).
 //
 // Ownership rules (see also netsim.Frame.Owned and DESIGN.md):
 //
