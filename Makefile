@@ -2,9 +2,16 @@
 
 GO ?= go
 
-.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards bench-json perfbench-test lint lint-json selfcheck telemetry-lint soak scenarios ci
+.PHONY: all fmt vet build test test-shuffle race bench bench-smoke bench-smoke-shards bench-json perfbench-test lint lint-json selfcheck telemetry-lint soak scenarios ci
 
 all: ci
+
+# Formatting gate: gofmt must have nothing to say about any tracked Go file
+# outside testdata (analyzer fixtures keep the layout their tests expect).
+fmt:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	out=$$(echo "$$files" | grep -v '/testdata/' | xargs gofmt -l) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -56,10 +63,15 @@ bench-smoke:
 
 # Parallel-scheduler smoke (DESIGN.md "Parallel DES"): a short MultiRack
 # run at -shards 4 under the race detector — the sharded goldens assert
-# byte-identical results while -race watches the lane goroutines — plus
+# byte-identical results while -race watches the lane goroutines — then
+# the window handoff's own tests ten times each under -race (control
+# rendezvous order and counters, workers exiting with Run, quiescence of
+# the sharded fabrics, the fat-tree golden at GOMAXPROCS 1 and 4), plus
 # one iteration of the shard-sweep benchmarks. CI runs this.
 bench-smoke-shards:
 	$(GO) test -race -count=1 -run 'TestMultiRackSharded' ./ask
+	$(GO) test -race -count=10 -run 'TestShardEnterControlOrder|TestShardWorkersExitWithRun' ./internal/sim
+	$(GO) test -race -count=10 -run 'TestClusterQuiescesWithoutGoroutines|TestFatTreeShardedAcrossGOMAXPROCS' ./ask
 	$(GO) test -run='^$$' -bench='BenchmarkMultiRackShards|BenchmarkFatTreeShards' -benchtime=1x .
 
 # Perf-trajectory artifact (see DESIGN.md "Performance engineering"): run
@@ -102,4 +114,4 @@ scenarios:
 	$(GO) test -count=1 -run 'TestCorpusDeterminism|TestTraceRoundTripCorpus' ./internal/workload/scenario
 	$(GO) test -count=1 -run 'TestScenarioCorpus' ./ask
 
-ci: vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke-shards perfbench-test
+ci: fmt vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke-shards perfbench-test

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // smallKeyStreams gives each sender n tuples over 256 short keys, so the
@@ -69,14 +70,21 @@ func settledGoroutines(limit int) int {
 }
 
 // TestClusterQuiescesWithoutGoroutines checks that a cluster run to
-// quiescence leaves no goroutine behind, with failover off and on: the
-// daemons' loops and the failover prober hold no goroutine, and every
-// process a task spawns exits with it. A parked goroutine would keep its
-// whole cluster reachable forever.
+// quiescence leaves no goroutine behind: on a rack with failover off and
+// on (the daemons' loops and the failover prober hold no goroutine, and
+// every process a task spawns exits with it), and on both sharded fabrics,
+// whose lane workers must not outlive Run whether they were polling or
+// parked. A parked goroutine would keep its whole cluster reachable
+// forever.
 func TestClusterQuiescesWithoutGoroutines(t *testing.T) {
-	for _, failover := range []bool{false, true} {
-		t.Run(fmt.Sprintf("failover=%v", failover), func(t *testing.T) {
-			before := settledGoroutines(0)
+	// aggregate runs one exact task on a fresh cluster and returns its
+	// shard group (nil for the rack, whose subtests are named failover=…).
+	type shape struct {
+		name      string
+		aggregate func(t *testing.T) *sim.ShardGroup
+	}
+	rack := func(failover bool) func(t *testing.T) *sim.ShardGroup {
+		return func(t *testing.T) *sim.ShardGroup {
 			cfg := core.DefaultConfig()
 			if failover {
 				cfg.Failover, cfg.ShadowCopy = true, false
@@ -92,8 +100,54 @@ func TestClusterQuiescesWithoutGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkExact(t, res, spec.Op, data)
+			return nil
+		}
+	}
+	shapes := []shape{
+		{"failover=false", rack(false)},
+		{"failover=true", rack(true)},
+		{"multirack/shards=2", func(t *testing.T) *sim.ShardGroup {
+			opts := MultiRackOptions{Racks: 4, HostsPerRack: 2, Seed: 5, Shards: 2}
+			mc, err := NewMultiRackCluster(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := core.TaskSpec{ID: 1, Receiver: opts.HostAt(0, 0),
+				Senders: []core.HostID{opts.HostAt(1, 0), opts.HostAt(2, 1), opts.HostAt(3, 0)}}
+			streams, data := smallKeyStreams(spec.Senders, 3000)
+			res, err := mc.Aggregate(spec, streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExact(t, res, spec.Op, data)
+			return mc.Net.Group()
+		}},
+		{"fattree/shards=2", func(t *testing.T) *sim.ShardGroup {
+			opts := FatTreeOptions{Spines: 2, Leaves: 4, HostsPerLeaf: 2, Seed: 5, Shards: 2}
+			fc, err := NewFatTreeCluster(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := core.TaskSpec{ID: 1, Receiver: opts.HostAt(0, 0),
+				Senders: []core.HostID{opts.HostAt(1, 0), opts.HostAt(2, 1), opts.HostAt(3, 0)}}
+			streams, data := smallKeyStreams(spec.Senders, 3000)
+			res, err := fc.Aggregate(spec, streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExact(t, res, spec.Op, data)
+			return fc.Net.Group()
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			before := settledGoroutines(0)
+			g := sh.aggregate(t)
 			if after := settledGoroutines(before); after > before {
 				t.Fatalf("%d goroutines after the cluster quiesced, %d before it was built", after, before)
+			}
+			if g != nil && g.Stats().ParallelWindows == 0 {
+				t.Fatalf("sharded run never released a lane worker: %+v", g.Stats())
 			}
 		})
 	}

@@ -10,10 +10,12 @@ package ask
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/tenancy"
 	"repro/internal/workload"
 	"repro/internal/workload/scenario"
@@ -120,8 +122,9 @@ func TestMultiRackShardedParallelWindows(t *testing.T) {
 }
 
 // runFatTreeWorkload builds a 2×4 fat-tree with the given shard count and
-// runs one cross-leaf aggregation with a sender on every leaf.
-func runFatTreeWorkload(t *testing.T, shards int) (*TaskResult, int64) {
+// runs one cross-leaf aggregation with a sender on every leaf. It returns
+// the cluster too, for its counters.
+func runFatTreeWorkload(t *testing.T, shards int) (*TaskResult, int64, *FatTreeCluster) {
 	t.Helper()
 	opts := FatTreeOptions{Spines: 2, Leaves: 4, HostsPerLeaf: 2, Seed: 11, Shards: shards}
 	fc, err := NewFatTreeCluster(opts)
@@ -142,16 +145,16 @@ func runFatTreeWorkload(t *testing.T, shards int) (*TaskResult, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, int64(fc.Sim.Now())
+	return res, int64(fc.Sim.Now()), fc
 }
 
 // TestFatTreeShardedByteIdentical pins the sharded fat-tree to its serial
 // golden on a fault-free run: every leaf aggregates, the spine re-aggregates
 // cross-leaf residue, and the TaskResult must not move by a byte.
 func TestFatTreeShardedByteIdentical(t *testing.T) {
-	golden, goldenNow := runFatTreeWorkload(t, 0)
+	golden, goldenNow, _ := runFatTreeWorkload(t, 0)
 	for _, shards := range []int{2, 4} {
-		got, gotNow := runFatTreeWorkload(t, shards)
+		got, gotNow, _ := runFatTreeWorkload(t, shards)
 		if !got.Result.Equal(golden.Result) {
 			t.Fatalf("shards=%d: aggregation diverged from serial: %s",
 				shards, got.Result.Diff(golden.Result, 8))
@@ -163,6 +166,41 @@ func TestFatTreeShardedByteIdentical(t *testing.T) {
 		if gotNow != goldenNow {
 			t.Errorf("shards=%d: final clock %d != serial %d", shards, gotNow, goldenNow)
 		}
+	}
+}
+
+// TestFatTreeShardedAcrossGOMAXPROCS: the sharded fat-tree golden does not
+// depend on how many threads the host gives the scheduler. At GOMAXPROCS 1
+// every handoff parks; at 4 the lanes poll when the host has a core for
+// each. Both must give the serial run's TaskResult and final clock, and
+// the same dispatch count and scheduler counters.
+func TestFatTreeShardedAcrossGOMAXPROCS(t *testing.T) {
+	golden, goldenNow, _ := runFatTreeWorkload(t, 0)
+	type outcome struct {
+		now        int64
+		dispatches uint64
+		stats      sim.ShardGroupStats
+	}
+	var first *outcome
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, now, fc := runFatTreeWorkload(t, 2)
+			if !reflect.DeepEqual(got, golden) || now != goldenNow {
+				t.Fatalf("GOMAXPROCS=%d: sharded run diverged from serial:\n got: %+v at %d\nwant: %+v at %d",
+					procs, got, now, golden, goldenNow)
+			}
+			g := fc.Net.Group()
+			o := &outcome{now, g.ProcDispatches(), g.Stats()}
+			if o.stats.ParallelWindows == 0 {
+				t.Fatalf("GOMAXPROCS=%d: no parallel windows: %+v", procs, o.stats)
+			}
+			if first == nil {
+				first = o
+			} else if *o != *first {
+				t.Fatalf("GOMAXPROCS=%d: counters %+v, GOMAXPROCS=1 gave %+v", procs, *o, *first)
+			}
+		}()
 	}
 }
 

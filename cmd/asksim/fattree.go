@@ -119,6 +119,13 @@ func runFatTree(ff fatTreeFlags) {
 		pending[i] = pt
 	}
 	fc.Sim.Run(0)
+	if g := fc.Net.Group(); g != nil {
+		// Host-dependent (cores, load), so it stays off stdout, which is
+		// byte-identical for a given seed and flag set.
+		hs := g.HostStats()
+		fmt.Fprintf(os.Stderr, "scheduler: %d lanes, window handoffs %d without parking, %d parked\n",
+			g.Lanes(), hs.Spun, hs.Parked)
+	}
 
 	ok := true
 	for i, p := range plans {

@@ -69,7 +69,7 @@ func main() {
 		spines   = flag.Int("spines", 2, "fat-tree spine switches (topology=fattree)")
 		leaves   = flag.Int("leaves", 3, "fat-tree leaf switches; -hosts is then hosts per leaf (topology=fattree)")
 		tenants  = flag.Int("tenants", 0, "tenants sharing the fat-tree, one task each, equal weights (0 = untenanted; topology=fattree)")
-		shards   = flag.Int("shards", 0, "parallel event-loop shards; <= 1 runs the serial scheduler, and topologies too small to cut (rack, 1 rack/leaf) always do (DESIGN.md \"Parallel DES\")")
+		shards   = flag.Int("shards", 0, "parallel event-loop shards; <= 1 runs the serial scheduler, and topologies too small to cut (rack, 1 rack/leaf) always do; a sharded run prints its window handoff counts on stderr (DESIGN.md \"Parallel DES\")")
 
 		soak        = flag.Bool("soak", false, "run the chaos soak harness instead of a single task (honors -topology)")
 		soakRuns    = flag.Int("soak.runs", 1, "consecutive soak seeds to run (soak.seed, soak.seed+1, ...)")

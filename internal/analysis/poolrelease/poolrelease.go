@@ -2,8 +2,8 @@
 // acquisitions that can never be released.
 //
 // The hot-path packages (netsim, switchd, hostd, tenancy) draw wire.Packet
-// objects from a process-wide free list — wire.NewPacket and
-// Packet.ClonePooled — under an explicit ownership discipline (see
+// objects from a process-wide free list — wire.NewPacket,
+// wire.NewDataPacket and Packet.ClonePooled — under an explicit ownership discipline (see
 // wire/pool.go): every acquisition must end in exactly one Packet.Release,
 // either directly or by handing the packet to something that releases it
 // (an owned netsim.Frame, Daemon.sendOwned, a return to the caller). A
@@ -99,14 +99,15 @@ func run(pass *framework.Pass) (any, error) {
 }
 
 // isAcquisition reports whether call draws a packet from the pool:
-// wire.NewPacket(...) or (*wire.Packet).ClonePooled(...).
+// wire.NewPacket(...), wire.NewDataPacket(...) or
+// (*wire.Packet).ClonePooled(...).
 func isAcquisition(pass *framework.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	name := sel.Sel.Name
-	if name != "NewPacket" && name != "ClonePooled" {
+	if name != "NewPacket" && name != "NewDataPacket" && name != "ClonePooled" {
 		return false
 	}
 	obj := pass.TypesInfo.Uses[sel.Sel]

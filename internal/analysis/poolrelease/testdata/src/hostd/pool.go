@@ -69,6 +69,18 @@ func leakViaDeepCallee() {
 	dropDeep(pkt)
 }
 
+// leakDataPacket: a data packet drawn for the window is an acquisition too.
+func leakDataPacket() {
+	pkt := wire.NewDataPacket(4) // want `poolrelease: packet acquired from the pool is neither released nor handed off`
+	pkt.Slots[0].Val = 1
+}
+
+func okDataPacketReturned() *wire.Packet {
+	pkt := wire.NewDataPacket(4)
+	pkt.Bitmap = pkt.Bitmap.Set(0)
+	return pkt
+}
+
 func okReleased() {
 	pkt := wire.NewPacket()
 	pkt.Type = wire.TypeAck

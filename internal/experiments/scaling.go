@@ -53,9 +53,9 @@ type ScalingConfig struct {
 	HostsPerRack int
 	// Spines/Leaves/HostsPerLeaf size the fat-tree; one sender per
 	// non-receiver leaf keeps the leaf↔spine mesh busy.
-	Spines       int
-	Leaves       int
-	HostsPerLeaf int
+	Spines          int
+	Leaves          int
+	HostsPerLeaf    int
 	TuplesPerSender int64
 	Distinct        int
 	Seed            int64

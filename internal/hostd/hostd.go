@@ -302,7 +302,13 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 			d.ctrlCh.win.Ack(pkt.Seq)
 		default: // data, long-key, FIN acks → the sender window
 			if pkt.Flow.Host == d.host && int(pkt.Flow.Channel) < len(d.channels) {
-				d.channels[pkt.Flow.Channel].win.Ack(pkt.Seq)
+				acked := d.channels[pkt.Flow.Channel].win.Ack(pkt.Seq)
+				if !d.failover {
+					// Nothing else references an acknowledged packet: the
+					// link copied it at every Send. With failover on, the
+					// task's replay history still holds data packets.
+					acked.Release()
+				}
 			}
 		}
 		f.Release() // handled inline; nothing retains the ACK
@@ -352,7 +358,9 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 
 // sendFrame transmits a packet from this host. The packet is RETAINED by
 // the caller (window retransmission buffers, failover history): the link
-// clones it at delivery. Packets nothing retains go through sendOwned.
+// clones it inside Send and delivers the clone, so once this returns the
+// caller holds the only reference. Packets nothing retains go through
+// sendOwned.
 func (d *Daemon) sendFrame(dst core.HostID, pkt *wire.Packet, goodBytes int) {
 	if d.stalled {
 		return // crashed daemon: outbound frames are lost

@@ -212,7 +212,7 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
 	cfg := pz.layout.Config()
 	shortSlots := pz.layout.ShortSlots()
-	pkt := &wire.Packet{Type: wire.TypeData, Slots: make([]wire.Slot, cfg.NumAAs)}
+	pkt := wire.NewDataPacket(cfg.NumAAs)
 	tuples := 0
 	for u := range pz.buckets {
 		b := &pz.buckets[u]

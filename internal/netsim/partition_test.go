@@ -58,9 +58,9 @@ func TestEffectiveShards(t *testing.T) {
 
 func TestTwoTierPartition(t *testing.T) {
 	cases := []struct {
-		name         string
-		racks, req   int
-		wantLanes    int // 0 = serial
+		name       string
+		racks, req int
+		wantLanes  int // 0 = serial
 	}{
 		{"serial-1shard", 4, 1, 0},
 		{"serial-1rack", 1, 8, 0},

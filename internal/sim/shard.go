@@ -13,9 +13,12 @@
 //     time t can therefore affect another lane no earlier than t+L.
 //
 //   - Windows. The group repeatedly computes T = the earliest pending
-//     event across all lanes and executes the window [T, T+L): every lane
-//     processes its own events inside the window on its own goroutine, in
-//     exactly the per-lane order the serial kernel would use. By the
+//     event across all lanes and executes the window [T, T+L): the busy
+//     lanes process their own events inside the window concurrently, each
+//     in exactly the per-lane order the serial kernel would use. The
+//     coordinating goroutine (the one that called Run) runs the
+//     lowest-index busy lane itself; every other lane has a worker
+//     goroutine for the duration of the run (see Handoff below). By the
 //     lookahead argument no event executed in the window can schedule
 //     into another lane inside the window, so lanes are independent and
 //     the merge of their executions is equivalent to a legal serial
@@ -31,10 +34,11 @@
 //   - Serial windows. The root lane hosts drivers and orchestrators
 //     (task submission, chaos injection, result collection) whose calls
 //     reach into many shards synchronously with zero lookahead. Any
-//     window containing a root event is executed serially on one
-//     goroutine — a K-way merge over the lanes in (time, lane, seq)
-//     order with all lane clocks slaved to the merge — which reproduces
-//     the serial kernel's semantics exactly for control-plane phases.
+//     window containing a root event is executed serially on the
+//     coordinating goroutine — a K-way merge over the lanes in (time,
+//     lane, seq) order with all lane clocks slaved to the merge — which
+//     reproduces the serial kernel's semantics exactly for control-plane
+//     phases.
 //     Steady-state streaming has an empty root lane and runs parallel.
 //
 //   - Wake fences. When a shard event wakes a root-lane process (a task
@@ -48,7 +52,20 @@
 //     spine during failover recovery) call EnterControlFrom: the calling
 //     lane suspends its window, the barrier completes, and the RPC runs
 //     exclusively — deterministically ordered by lane — before the next
-//     window starts.
+//     window starts. Every section runs in serial phase. That includes a
+//     section entered from the lane the coordinator runs: it waits for the
+//     worker lanes to finish or suspend and then runs as the first grant
+//     (it is the lowest busy lane), so its cross-lane schedules are direct
+//     exactly as in any other grant.
+//
+//   - Handoff. A window is a few µs of work, so releasing a worker and
+//     joining it must not cost an OS thread wakeup each time. A worker
+//     waits on its lane's atomic state word, the coordinator on an atomic
+//     countdown of unfinished workers; each waiter polls for a bounded
+//     number of iterations and then parks on a channel. Polling is enabled
+//     only while every lane goroutine can hold its own P (lanes ≤
+//     min(GOMAXPROCS, NumCPU)); otherwise waiters park at once. HostStats
+//     counts the handoffs that polling satisfied and the ones that parked.
 //
 // Barrier versus null messages: with K ≤ NumCPU lanes inside one address
 // space, a central min-reduction costs microseconds per window while a
@@ -60,9 +77,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -93,6 +113,77 @@ type ShardGroupStats struct {
 	WakeFences      int64 // windows cut short by a cross-lane wake
 }
 
+// ShardHostStats counts how the host threads behind a group handed off
+// parallel windows: a worker waiting for its release, or the coordinator
+// waiting for the workers to finish (or for a granted control section).
+// Unlike ShardGroupStats these depend on the host's cores and load, not
+// on the simulation, so they are kept apart from the simulation outputs.
+type ShardHostStats struct {
+	Spun   int64 // handoffs that found their signal without parking
+	Parked int64 // handoffs that parked on a channel (an OS-level wake)
+}
+
+// Handoff states (handoff.state).
+const (
+	waitIdle   int32 = iota // no signal pending
+	waitGo                  // run: a window, a grant, or the join
+	waitExit                // the run is over: the worker returns
+	waitParked              // the waiter is blocked on its wake channel
+)
+
+// spinPolls bounds a waiter's busy-poll before it parks: about 180 µs on a
+// 2-vCPU Xeon (0.7 ns per poll), ten or more windows of work. Steady
+// parallel streaming, and the runs of inline windows inside it, then hand
+// off without parking, while a long serial stretch costs each idle lane
+// one bounded poll before it parks.
+const spinPolls = 1 << 18
+
+// handoff is one single-consumer wait point: a lane's worker waiting
+// for its release or grant, or the coordinator waiting for the join. At
+// most one signal is outstanding at any time.
+type handoff struct {
+	state atomic.Int32
+	wake  chan struct{} // capacity 1: the token for a parked waiter
+	// spun and parked are written only by the waiting goroutine (or a
+	// process it handed control to) and read after the run.
+	spun, parked int64
+	_            [32]byte // one 64-byte cache line per handoff
+}
+
+func newHandoff() *handoff { return &handoff{wake: make(chan struct{}, 1)} }
+
+// signal posts v (waitGo or waitExit), waking the waiter if it parked.
+func (w *handoff) signal(v int32) {
+	if w.state.Swap(v) == waitParked {
+		w.wake <- struct{}{}
+	}
+}
+
+// await returns the next posted signal, polling first when spin is set.
+func (w *handoff) await(spin bool) int32 {
+	if spin {
+		for i := 0; i < spinPolls; i++ {
+			if w.state.Load() != waitIdle {
+				break
+			}
+		}
+	}
+	parked := false
+	if w.state.CompareAndSwap(waitIdle, waitParked) {
+		<-w.wake
+		parked = true
+	}
+	v := w.state.Swap(waitIdle)
+	if v == waitGo {
+		if parked {
+			w.parked++
+		} else {
+			w.spun++
+		}
+	}
+	return v
+}
+
 // ShardGroup couples one root Simulation with K shard lanes under the
 // conservative barrier protocol above. Construct with NewShardGroup,
 // attach model state to the lanes, then drive the whole group through the
@@ -104,30 +195,36 @@ type ShardGroup struct {
 
 	// parallel is true while lane workers may be executing a window. It is
 	// written by the coordinating goroutine strictly before worker release
-	// and after worker join (the channel handshakes order the accesses).
+	// and after worker join (the atomic handoffs order the accesses).
 	parallel bool
 
-	// done receives a lane index whenever a lane's window completes or
-	// suspends for a control rendezvous.
-	done chan int
+	// own is the lane the coordinating goroutine runs in the current
+	// parallel window (its lowest busy lane); nil outside parallel windows.
+	own *Simulation
 
-	// ctrlReqs holds lanes suspended in EnterControlFrom, granted in lane
-	// order after the window joins. ctrlMu guards concurrent registration
-	// from several suspending lanes in one window.
+	// workers[i] is lane i's release point (lane 0's stays unused: as the
+	// lowest lane it is always the coordinator's) and join is the
+	// coordinator's. unfinished counts the released workers that have not
+	// yet finished or suspended; the one that brings it to zero signals
+	// join. spin enables polling for the current run (see Handoff), and
+	// exited waits for the run's workers to return.
+	workers    []*handoff
+	join       *handoff
+	unfinished atomic.Int32
+	spin       bool
+	exited     sync.WaitGroup
+
+	// ctrlReqs holds worker lanes suspended in EnterControlFrom, granted
+	// in lane order after the window joins. ctrlMu guards concurrent
+	// registration from several suspending lanes in one window.
 	ctrlMu   sync.Mutex
-	ctrlReqs []*ctrlReq
+	ctrlReqs []*Simulation
 
 	// busyScratch is reused across windows to list busy lanes without
 	// allocating.
 	busyScratch []*Simulation
 
 	stats ShardGroupStats
-}
-
-// ctrlReq is one suspended control rendezvous.
-type ctrlReq struct {
-	lane  *Simulation
-	grant chan struct{}
 }
 
 // NewShardGroup wraps root with shards shard lanes. lookahead is the
@@ -143,7 +240,7 @@ func NewShardGroup(root *Simulation, shards int, lookahead time.Duration) *Shard
 	if shards < 1 {
 		panic("sim: shard group needs at least one lane")
 	}
-	g := &ShardGroup{root: root, look: Time(lookahead)}
+	g := &ShardGroup{root: root, look: Time(lookahead), join: newHandoff()}
 	root.group = g
 	root.lane = laneRoot
 	for i := 0; i < shards; i++ {
@@ -154,6 +251,7 @@ func NewShardGroup(root *Simulation, shards int, lookahead time.Duration) *Shard
 		l.group = g
 		l.lane = i
 		g.lanes = append(g.lanes, l)
+		g.workers = append(g.workers, newHandoff())
 	}
 	return g
 }
@@ -187,6 +285,17 @@ func (g *ShardGroup) Lanes() int { return len(g.lanes) }
 // Stats returns a copy of the scheduler counters.
 func (g *ShardGroup) Stats() ShardGroupStats { return g.stats }
 
+// HostStats sums the host-side handoff counters over every run so far.
+// Call it while the group is not running.
+func (g *ShardGroup) HostStats() ShardHostStats {
+	hs := ShardHostStats{Spun: g.join.spun, Parked: g.join.parked}
+	for _, w := range g.workers {
+		hs.Spun += w.spun
+		hs.Parked += w.parked
+	}
+	return hs
+}
+
 // ProcDispatches sums Simulation.ProcDispatches over the root and every
 // lane. Call it while the group is not running.
 func (g *ShardGroup) ProcDispatches() uint64 {
@@ -217,38 +326,51 @@ func (g *ShardGroup) each(f func(*Simulation)) {
 	f(g.root)
 }
 
+// injectOrder is the drain order: (time, source lane, source seq).
+func injectOrder(a, b inject) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.srcLane, b.srcLane); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.srcSeq, b.srcSeq)
+}
+
 // drainInjects moves every inbox into its lane's heap, in the
 // deterministic (time, source lane, source seq) order.
 func (g *ShardGroup) drainInjects() {
-	g.each(func(s *Simulation) {
-		s.inboxMu.Lock()
-		q := s.inbox
-		s.inbox = nil
-		s.inboxMu.Unlock()
-		if len(q) == 0 {
-			return
+	for _, l := range g.lanes {
+		g.drainInbox(l)
+	}
+	g.drainInbox(g.root)
+}
+
+// drainInbox drains one inbox. The inbox is double-buffered: senders
+// append to one backing array while the drained one is kept for reuse.
+func (g *ShardGroup) drainInbox(s *Simulation) {
+	s.inboxMu.Lock()
+	q := s.inbox
+	s.inbox = s.inboxSpare
+	s.inboxMu.Unlock()
+	if len(q) == 0 {
+		s.inboxSpare = q
+		return
+	}
+	slices.SortFunc(q, injectOrder)
+	for _, in := range q {
+		if in.at < s.now {
+			panic(fmt.Sprintf("sim: inject at %v into lane %d already at %v", in.at, s.lane, s.now))
 		}
-		sort.Slice(q, func(i, j int) bool {
-			if q[i].at != q[j].at {
-				return q[i].at < q[j].at
-			}
-			if q[i].srcLane != q[j].srcLane {
-				return q[i].srcLane < q[j].srcLane
-			}
-			return q[i].srcSeq < q[j].srcSeq
-		})
-		for _, in := range q {
-			if in.at < s.now {
-				panic(fmt.Sprintf("sim: inject at %v into lane %d already at %v", in.at, s.lane, s.now))
-			}
-			if in.fn != nil {
-				s.At(in.at, in.fn)
-			} else {
-				s.AtCall(in.at, in.afn, in.arg)
-			}
+		if in.fn != nil {
+			s.At(in.at, in.fn)
+		} else {
+			s.AtCall(in.at, in.afn, in.arg)
 		}
-		g.stats.Injects += int64(len(q))
-	})
+	}
+	g.stats.Injects += int64(len(q))
+	clear(q) // drop the callbacks' references before the array is reused
+	s.inboxSpare = q[:0]
 }
 
 // minNext returns the earliest pending event time across all lanes.
@@ -389,42 +511,60 @@ func (g *ShardGroup) runSerialWindow(safe Time) {
 	}
 }
 
-// runParallelWindow executes the window on the lane workers (or inline
-// when at most one lane has events inside it).
+// runParallelWindow executes the window on the busy lanes: the lowest one
+// on the calling goroutine, the others on their workers.
 func (g *ShardGroup) runParallelWindow(safe Time) {
 	busy := g.busyLanes(safe)
-	switch len(busy) {
-	case 0:
+	if len(busy) == 0 {
 		return
-	case 1:
-		// One busy lane: run its window inline — no handshake, and since
-		// no other lane executes, cross-lane schedules may land directly
-		// (they are ordered exactly as a drain of this lane's inbox).
-		g.stats.InlineWindows++
-		l := busy[0]
+	}
+	for _, l := range busy {
 		l.windowBound = safe
 		l.windowStop = false
-		l.window()
-		if l.windowStop {
+	}
+	own, rest := busy[0], busy[1:]
+	if len(rest) == 0 {
+		// One busy lane: run its window inline — no handoff, and since no
+		// other lane executes, cross-lane schedules may land directly
+		// (they are ordered exactly as a drain of this lane's inbox).
+		g.stats.InlineWindows++
+		own.window()
+		if own.windowStop {
 			g.stats.WakeFences++
 		}
 		return
 	}
 	g.stats.ParallelWindows++
 	g.parallel = true
-	for _, l := range busy {
-		l.windowBound = safe
-		l.windowStop = false
-		l.start <- struct{}{}
+	g.own = own
+	g.unfinished.Store(int32(len(rest)))
+	for _, l := range rest {
+		g.workers[l.lane].signal(waitGo)
 	}
-	for n := len(busy); n > 0; n-- {
-		<-g.done
-	}
-	g.parallel = false
+	own.window()
+	if g.parallel {
+		g.awaitWorkers()
+	} // else own's control section already joined (EnterControlFrom)
+	g.own = nil
 	for _, l := range busy {
 		if l.windowStop && !l.suspended {
 			g.stats.WakeFences++
 		}
+	}
+	own.suspended = false
+}
+
+// awaitWorkers waits until every released worker has finished its window
+// or suspended in EnterControlFrom, and ends the parallel phase.
+func (g *ShardGroup) awaitWorkers() {
+	g.join.await(g.spin)
+	g.parallel = false
+}
+
+// finished reports a worker's window (or grant) complete, or suspended.
+func (g *ShardGroup) finished() {
+	if g.unfinished.Add(-1) == 0 {
+		g.join.signal(waitGo)
 	}
 }
 
@@ -440,49 +580,53 @@ func (g *ShardGroup) busyLanes(safe Time) []*Simulation {
 	return busy
 }
 
-// grantControl serves the control rendezvous queue: each suspended lane
-// resumes exclusively, in lane order, with the group in serial phase.
+// grantControl serves the control rendezvous queue: each suspended worker
+// lane resumes exclusively, in lane order, with the group in serial phase.
 func (g *ShardGroup) grantControl() {
 	if len(g.ctrlReqs) == 0 {
 		return
 	}
-	reqs := g.ctrlReqs
-	g.ctrlReqs = nil
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].lane.lane < reqs[j].lane.lane })
-	for _, req := range reqs {
+	slices.SortFunc(g.ctrlReqs, func(a, b *Simulation) int { return a.lane - b.lane })
+	for _, l := range g.ctrlReqs {
 		g.stats.ControlRendezvs++
-		close(req.grant)
 		// The lane finishes the suspended event (and its stopped window)
-		// before signalling done.
-		<-g.done
-		req.lane.suspended = false
+		// before reporting finished.
+		g.unfinished.Store(1)
+		g.workers[l.lane].signal(waitGo)
+		g.join.await(g.spin)
+		l.suspended = false
 	}
+	clear(g.ctrlReqs)
+	g.ctrlReqs = g.ctrlReqs[:0]
 }
 
-// startWorkers launches one goroutine per lane for the duration of a run.
+// startWorkers launches one worker goroutine per lane that can run on one
+// (lane 0 is always the lowest busy lane, so the coordinator runs it) and
+// decides whether waiters may poll: only if every lane goroutine can hold
+// its own P, or polling would steal the CPU the awaited lane needs.
 func (g *ShardGroup) startWorkers() {
-	g.done = make(chan int, len(g.lanes))
-	for i, l := range g.lanes {
-		l.start = make(chan struct{})
-		// The channel is passed by value: a worker from a previous run that
-		// has not yet observed its close must not read the field being
-		// reassigned here.
-		go g.worker(i, l, l.start, g.done)
+	g.spin = len(g.lanes) <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	for i := 1; i < len(g.lanes); i++ {
+		g.exited.Add(1)
+		go g.worker(g.lanes[i], g.workers[i])
 	}
 }
 
-// stopWorkers terminates the per-run worker goroutines.
+// stopWorkers ends the run's worker goroutines and waits until they have
+// returned, so no worker outlives Run.
 func (g *ShardGroup) stopWorkers() {
-	for _, l := range g.lanes {
-		close(l.start)
+	for _, w := range g.workers[1:] {
+		w.signal(waitExit)
 	}
+	g.exited.Wait()
 }
 
-// worker executes lane windows on demand until its start channel closes.
-func (g *ShardGroup) worker(i int, l *Simulation, start <-chan struct{}, done chan<- int) {
-	for range start {
+// worker executes lane l's windows and grants until the run ends.
+func (g *ShardGroup) worker(l *Simulation, w *handoff) {
+	defer g.exited.Done()
+	for w.await(g.spin) == waitGo {
 		l.window()
-		done <- i
+		g.finished()
 	}
 }
 
@@ -493,9 +637,10 @@ func (g *ShardGroup) worker(i int, l *Simulation, start <-chan struct{}, done ch
 // flow at every spine. Outside a parallel window it is a no-op: the
 // group is already single-threaded and every lane is quiescent.
 //
-// The calling goroutine blocks until every other lane has finished the
-// current window; rendezvous are granted in deterministic lane order, so
-// results do not depend on goroutine interleaving.
+// The caller blocks until every other lane has finished the current
+// window or suspended; sections are granted in deterministic lane order
+// and run in serial phase, so results do not depend on goroutine
+// interleaving.
 //
 //askcheck:mailbox
 func (g *ShardGroup) EnterControlFrom(s *Simulation) func() {
@@ -506,14 +651,25 @@ func (g *ShardGroup) EnterControlFrom(s *Simulation) func() {
 	// must not run before the exclusive section completes.
 	s.windowStop = true
 	s.suspended = true
-	req := &ctrlReq{lane: s, grant: make(chan struct{})}
+	if s == g.own {
+		// The coordinator runs this lane, the window's lowest busy lane, so
+		// its section is the first grant: wait for the workers, then run
+		// it here in serial phase.
+		g.awaitWorkers()
+		g.stats.ControlRendezvs++
+		return func() {}
+	}
 	g.ctrlMu.Lock()
-	g.ctrlReqs = append(g.ctrlReqs, req)
+	g.ctrlReqs = append(g.ctrlReqs, s)
 	g.ctrlMu.Unlock()
-	// Count this lane's window as complete so the barrier can close, then
+	// Count this lane's window as finished so the barrier can close, then
 	// wait for the exclusive grant.
-	g.done <- s.lane
-	<-req.grant
+	g.finished()
+	if w := g.workers[s.lane]; w.await(g.spin) == waitExit {
+		// The run is unwinding from a panic on the coordinator: finish
+		// this event and let the worker loop see the exit too.
+		w.signal(waitExit)
+	}
 	return func() {}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -174,28 +175,67 @@ func TestShardStop(t *testing.T) {
 
 // TestShardEnterControlOrder pins the control rendezvous: when several
 // lanes suspend for an exclusive section in one window, grants are served
-// in lane order regardless of goroutine interleaving.
+// in lane order regardless of goroutine interleaving. Lane 0 is the
+// window's lowest busy lane, which the coordinating goroutine runs itself;
+// its section must still wait for the other lanes and run in serial phase,
+// so a cross-lane schedule made inside it is direct (no mailbox inject).
+// The scheduler counters must equal those of a protocol where every lane
+// runs on its own worker.
 func TestShardEnterControlOrder(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		root := New(int64(round))
-		g := NewShardGroup(root, 3, time.Microsecond)
-		var order []int
-		for i := 0; i < 3; i++ {
-			i := i
-			lane := g.Lane(i)
-			lane.At(Time(1*Microsecond), func() {
-				release := g.EnterControlFrom(lane)
-				order = append(order, i) // exclusive: no lock needed
-				release()
-			})
-		}
-		root.Run(0)
-		if !reflect.DeepEqual(order, []int{0, 1, 2}) {
-			t.Fatalf("round %d: control sections ran in order %v, want [0 1 2]", round, order)
-		}
-		if g.Stats().ControlRendezvs != 3 {
-			t.Fatalf("round %d: rendezvous count = %d, want 3", round, g.Stats().ControlRendezvs)
-		}
+	cases := []struct {
+		name      string
+		suspend   []bool // per lane: enter a control section at 1µs
+		wantOrder []int
+		want      ShardGroupStats
+	}{
+		{"all", []bool{true, true, true}, []int{0, 1, 2},
+			ShardGroupStats{Windows: 2, ParallelWindows: 1, InlineWindows: 1, ControlRendezvs: 3}},
+		{"lanes 0 and 1", []bool{true, true, false}, []int{0, 1},
+			ShardGroupStats{Windows: 2, ParallelWindows: 1, InlineWindows: 1, ControlRendezvs: 2}},
+		{"lane 0 only", []bool{true, false, false}, []int{0},
+			ShardGroupStats{Windows: 2, ParallelWindows: 1, InlineWindows: 1, ControlRendezvs: 1}},
+		{"lane 1 only", []bool{false, true, false}, []int{1},
+			ShardGroupStats{Windows: 1, ParallelWindows: 1, ControlRendezvs: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				root := New(int64(round))
+				g := NewShardGroup(root, 3, time.Microsecond)
+				var order []int
+				var late []Time
+				for i := 0; i < 3; i++ {
+					i := i
+					lane := g.Lane(i)
+					lane.At(Time(1*Microsecond), func() {
+						if !tc.suspend[i] {
+							lane.After(10, func() {}) // more work inside the window
+							return
+						}
+						release := g.EnterControlFrom(lane)
+						order = append(order, i) // exclusive: no lock needed
+						if i == 0 {
+							// Serial phase: a direct schedule into a lane that
+							// has already run its window, not a mailbox inject.
+							g.Lane(2).InjectCall(lane, lane.Now().Add(time.Microsecond), func(any) {
+								late = append(late, g.Lane(2).Now())
+							}, nil)
+						}
+						release()
+					})
+				}
+				root.Run(0)
+				if !reflect.DeepEqual(order, tc.wantOrder) {
+					t.Fatalf("round %d: control sections ran in order %v, want %v", round, order, tc.wantOrder)
+				}
+				if got := g.Stats(); got != tc.want {
+					t.Fatalf("round %d: stats %+v, want %+v", round, got, tc.want)
+				}
+				if tc.suspend[0] && !reflect.DeepEqual(late, []Time{Time(2 * Microsecond)}) {
+					t.Fatalf("round %d: lane-0 section's schedule ran at %v, want [2µs]", round, late)
+				}
+			}
+		})
 	}
 }
 
@@ -297,5 +337,103 @@ func TestShardSerialSeamUngrouped(t *testing.T) {
 	s.Run(0)
 	if hits != 1 {
 		t.Fatalf("serial run broken: hits = %d", hits)
+	}
+}
+
+// TestShardWorkersExitWithRun: Run returns only after every lane worker
+// has exited, whether the workers were polling or parked. A full-duplex
+// stream keeps both lanes busy (workers hand off by polling when the host
+// has a P per lane); a long quiet gap in the middle makes them park. At
+// GOMAXPROCS=1 they never poll. Run twice, so a resumed run restarts its
+// workers.
+func TestShardWorkersExitWithRun(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			root := New(3)
+			g := NewShardGroup(root, 2, time.Microsecond)
+			var stream func(any)
+			stream = func(arg any) {
+				n := arg.(int)
+				src := g.Lane(n % 2)
+				if n%200 == 100 {
+					// A quiet millisecond: the peer lane idles through many
+					// inline windows, then the stream resumes.
+					src.After(time.Millisecond, func() { g.Lane(1-n%2).InjectCall(src, src.Now().Add(time.Microsecond), stream, n+1) })
+					return
+				}
+				if n < 1000 {
+					g.Lane(1-n%2).InjectCall(src, src.Now().Add(time.Microsecond), stream, n+1)
+				}
+			}
+			for lane := 0; lane < 2; lane++ {
+				g.Lane(lane).InjectCall(g.Lane(lane), Time(Microsecond), stream, lane)
+			}
+			before := runtime.NumGoroutine()
+			for _, limit := range []Time{Time(2 * Millisecond), 0} {
+				root.Run(limit)
+				// A worker has signalled its exit before Run returns, but the
+				// goroutine may take a moment to end.
+				after := runtime.NumGoroutine()
+				for i := 0; i < 100 && after > before; i++ {
+					time.Sleep(time.Millisecond)
+					after = runtime.NumGoroutine()
+				}
+				if after > before {
+					t.Fatalf("%d goroutines after Run(%v), %d before", after, limit, before)
+				}
+			}
+			if g.Stats().ParallelWindows == 0 {
+				t.Fatalf("no parallel windows ran: %+v", g.Stats())
+			}
+			hs := g.HostStats()
+			if hs.Spun+hs.Parked == 0 {
+				t.Fatalf("no handoffs counted: %+v", hs)
+			}
+			if procs == 1 && hs.Parked == 0 {
+				t.Fatalf("GOMAXPROCS=1 handoffs never parked: %+v", hs)
+			}
+		})
+	}
+}
+
+// TestShardBarrierAllocationFree: steady-state windows allocate nothing.
+// Two lanes stream to each other through the mailboxes (every window is
+// parallel and drains injects), so the barrier's sort, inbox swap and
+// handoffs run once per window; a run ten times longer must not allocate
+// more than the fixed per-run cost (worker goroutines).
+func TestShardBarrierAllocationFree(t *testing.T) {
+	mallocs := func(rounds int) uint64 {
+		root := New(5)
+		g := NewShardGroup(root, 2, time.Microsecond)
+		type msg struct{ n int }
+		msgs := [2]*msg{{0}, {0}}
+		var stream func(any)
+		stream = func(arg any) {
+			m := arg.(*msg)
+			lane := g.Lane(m.n % 2)
+			m.n++
+			if m.n < rounds {
+				g.Lane(m.n%2).InjectCall(lane, lane.Now().Add(time.Microsecond), stream, m)
+			}
+		}
+		g.Lane(0).InjectCall(g.Lane(0), Time(Microsecond), stream, msgs[0])
+		msgs[1].n = 1
+		g.Lane(1).InjectCall(g.Lane(1), Time(Microsecond), stream, msgs[1])
+		// Warm the event stores, heaps and inboxes.
+		root.Run(Time(20 * Microsecond))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		root.Run(0)
+		runtime.ReadMemStats(&after)
+		if g.Stats().ParallelWindows < int64(rounds/2) {
+			t.Fatalf("rounds=%d: only %d parallel windows", rounds, g.Stats().ParallelWindows)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocs(200), mallocs(2000)
+	t.Logf("mallocs per run: %d at 200 rounds, %d at 2000", short, long)
+	if long > short+20 {
+		t.Fatalf("barrier allocates per window: %d mallocs at 200 rounds, %d at 2000", short, long)
 	}
 }

@@ -143,16 +143,17 @@ type Simulation struct {
 	// construction: nil/laneRoot for a standalone serial simulation, which
 	// therefore takes the exact pre-shard code path everywhere. The window
 	// fields are owned by whichever goroutine executes this lane's window;
-	// inbox is the cross-lane mailbox, drained at window barriers.
+	// inbox is the cross-lane mailbox, drained at window barriers into
+	// inboxSpare's array while senders fill the other one.
 	group       *ShardGroup
 	lane        int
 	injSeq      uint64
 	windowBound Time
 	windowStop  bool
 	suspended   bool
-	start       chan struct{}
 	inboxMu     sync.Mutex
 	inbox       []inject
+	inboxSpare  []inject
 }
 
 // New returns a Simulation whose random source is seeded with seed.

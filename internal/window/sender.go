@@ -406,13 +406,15 @@ func (s *Sender) retransmit(a any) {
 	s.arm(f)
 }
 
-// Ack processes an acknowledgment for seq. Duplicate or unknown ACKs are
-// counted and ignored.
-func (s *Sender) Ack(seq uint32) {
+// Ack processes an acknowledgment for seq and returns the acknowledged
+// packet, which the window no longer references: the caller may release it
+// unless something else of its own still holds it. Duplicate or unknown
+// ACKs are counted and ignored, and return nil.
+func (s *Sender) Ack(seq uint32) *wire.Packet {
 	f, ok := s.inflight[seq]
 	if !ok {
 		s.met.dupAcks.Inc()
-		return
+		return nil
 	}
 	f.timer.Stop()
 	delete(s.inflight, seq)
@@ -444,4 +446,5 @@ func (s *Sender) Ack(seq uint32) {
 	if len(s.inflight) == 0 {
 		s.idleSig.Fire()
 	}
+	return f.pkt
 }

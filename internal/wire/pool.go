@@ -10,17 +10,21 @@ import (
 // The delivery fast path used to deep-copy every frame (Packet struct + slot
 // array) and let the garbage collector reclaim it after the receiver was
 // done — tens of millions of short-lived objects per simulated second. The
-// free list recycles both: NewPacket/ClonePooled draw from a sync.Pool, and
-// receivers call Release at the point where they provably hold the last
-// reference (switchd ingress after consumption, hostd after inline handling
-// or the receive loop's finishInbound).
+// free list recycles both: NewPacket/NewDataPacket/ClonePooled draw from a
+// sync.Pool, and receivers call Release at the point where they provably
+// hold the last reference (switchd ingress after consumption, hostd after
+// inline handling or the receive loop's finishInbound, and the sending
+// daemon when its window hands back an acknowledged data packet).
 //
 // Ownership rules (see also netsim.Frame.Owned and DESIGN.md):
 //
 //   - Release requires exclusive ownership: no other live reference into the
-//     packet or its Slots array may exist. Window retransmission buffers and
-//     failover history therefore NEVER release — their packets are cloned at
-//     link delivery instead.
+//     packet or its Slots array may exist. The link copies a frame whose
+//     sender retains the packet (window retransmission buffers, failover
+//     history) inside Send, so a sent packet is referenced only by its
+//     sender. The window hands a data packet back on its ACK, and the daemon
+//     releases it unless failover history keeps it; history and packets a
+//     window abandons on abort stay GC-owned.
 //   - A pooled packet's Slots array is recycled with it (pooledSlots); slot
 //     arrays installed by callers (struct literals, history aliases) are left
 //     to the garbage collector, so releasing a packet can never free memory
@@ -65,6 +69,24 @@ func NewPacket() *Packet {
 	scratch := p.scratch
 	*p = Packet{}
 	p.scratch = scratch
+	return p
+}
+
+// NewDataPacket returns a TypeData packet from the free list with n zeroed
+// slots. The slot array is the pooled packet's recycled storage when it is
+// large enough, and is pool-owned either way (pooledSlots, as in
+// ClonePooled), so Release recycles it with the packet. The caller owns
+// the packet exclusively.
+func NewDataPacket(n int) *Packet {
+	p := packetPool.Get().(*Packet)
+	scratch := p.scratch
+	*p = Packet{Type: TypeData, pooledSlots: true}
+	if cap(scratch) >= n {
+		p.Slots = scratch[:n]
+		clear(p.Slots)
+	} else {
+		p.Slots = make([]Slot, n)
+	}
 	return p
 }
 

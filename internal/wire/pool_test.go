@@ -191,3 +191,29 @@ func TestClonePooledPreservesScratchCapacity(t *testing.T) {
 	}
 	t.Skip("pool never returned the recycled storage (valid but unobservable here)")
 }
+
+func TestNewDataPacketIsZeroedAndPooled(t *testing.T) {
+	SetPoolPoison(true)
+	defer SetPoolPoison(false)
+	// Fill and release data packets of varying width: every draw must be a
+	// TypeData packet with exactly n zeroed slots, even when the pool hands
+	// back poisoned storage, and its slots must go back with it.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		n := 1 + rng.Intn(24)
+		p := NewDataPacket(n)
+		if p.Type != TypeData || p.Seq != 0 || p.Bitmap != 0 || len(p.Slots) != n || !p.pooledSlots {
+			t.Fatalf("NewDataPacket(%d) returned %+v", n, p)
+		}
+		for j, s := range p.Slots {
+			if s != (Slot{}) {
+				t.Fatalf("NewDataPacket(%d) slot %d = %+v, want zero", n, j, s)
+			}
+		}
+		for j := range p.Slots {
+			p.Slots[j] = Slot{KPart: uint64(j + 1), Val: int64(i)}
+		}
+		p.Seq = uint32(i)
+		p.Release()
+	}
+}
