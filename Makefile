@@ -101,10 +101,14 @@ perfbench-test:
 # (spine/leaf outages over the multi-tenant fabric, EXPERIMENTS.md "Fabric
 # soak"). Deterministic and fast (a few seconds); a failure prints a
 # shrunken schedule and a reproducer line carrying the topology flags.
+# TestSoakGoldens then compares whole soak reports (rack, fat-tree, sharded
+# fat-tree, isolation, and the broken-checksum failure with its shrunk
+# schedule) against internal/chaos/testdata, so report drift fails too.
 soak:
 	$(GO) run ./cmd/asksim -soak -soak.seed=1 -soak.runs=12 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=6 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=1 -soak.corrupt=1e-3 -soak.shards=4
+	$(GO) test -count=1 -run 'TestSoakGoldens' ./internal/chaos
 
 # Scenario-corpus round trip (README "Workloads & traces"): every committed
 # scenario regenerated from its seed (byte-identical), encoded to the v2
