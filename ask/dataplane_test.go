@@ -3,7 +3,6 @@ package ask
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -153,45 +152,48 @@ func TestClusterQuiescesWithoutGoroutines(t *testing.T) {
 	}
 }
 
-// TestZeroSendersRejectedEverywhere: every cluster shape rejects a task
-// without senders up front with the same error, instead of starting a
-// receiver that waits forever.
+// TestZeroSendersRejectedEverywhere: every cluster shape validates a task
+// spec up front, in one order and with the same error text — a task
+// without senders first (instead of starting a receiver that waits
+// forever), then the receiver, then each sender and its stream.
 func TestZeroSendersRejectedEverywhere(t *testing.T) {
-	spec := core.TaskSpec{ID: 7, Receiver: 0}
-	shapes := []struct {
-		name string
-		run  func() error
+	stream := map[core.HostID]core.Stream{1: core.SliceStream(nil), 77: core.SliceStream(nil)}
+	cases := []struct {
+		name    string
+		spec    core.TaskSpec
+		streams map[core.HostID]core.Stream
+		want    string
 	}{
-		{"rack", func() error {
-			cl, err := NewCluster(Options{Hosts: 2})
-			if err != nil {
-				return err
-			}
-			_, err = cl.Aggregate(spec, nil)
-			return err
-		}},
-		{"multirack", func() error {
-			mc, err := NewMultiRackCluster(mrOptions(1))
-			if err != nil {
-				return err
-			}
-			_, err = mc.Aggregate(spec, nil)
-			return err
-		}},
-		{"fattree", func() error {
-			fc, err := NewFatTreeCluster(ftOptions(1))
-			if err != nil {
-				return err
-			}
-			_, err = fc.Aggregate(spec, nil)
-			return err
-		}},
+		{"no-senders", core.TaskSpec{ID: 7, Receiver: 0}, nil, "ask: task 7 has no senders"},
+		{"no-senders-unknown-receiver", core.TaskSpec{ID: 7, Receiver: 99}, nil, "ask: task 7 has no senders"},
+		{"unknown-receiver", core.TaskSpec{ID: 7, Receiver: 99, Senders: []core.HostID{77}}, stream, "ask: receiver host 99 not in cluster"},
+		{"unknown-sender", core.TaskSpec{ID: 7, Receiver: 0, Senders: []core.HostID{1, 77}}, stream, "ask: sender host 77 not in cluster"},
+		{"missing-stream", core.TaskSpec{ID: 7, Receiver: 0, Senders: []core.HostID{1}}, nil, "ask: no stream for sender host 1"},
+	}
+	type aggregator interface {
+		Aggregate(core.TaskSpec, map[core.HostID]core.Stream) (*TaskResult, error)
+	}
+	shapes := []struct {
+		name  string
+		build func() (aggregator, error)
+	}{
+		{"rack", func() (aggregator, error) { return NewCluster(Options{Hosts: 2}) }},
+		{"multirack", func() (aggregator, error) { return NewMultiRackCluster(mrOptions(1)) }},
+		{"fattree", func() (aggregator, error) { return NewFatTreeCluster(ftOptions(1)) }},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			err := sh.run()
-			if err == nil || !strings.Contains(err.Error(), "task 7 has no senders") {
-				t.Fatalf("zero-sender task: got error %v, want \"task 7 has no senders\"", err)
+			cl, err := sh.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					_, err := cl.Aggregate(tc.spec, tc.streams)
+					if err == nil || err.Error() != tc.want {
+						t.Fatalf("got error %v, want %q", err, tc.want)
+					}
+				})
 			}
 		})
 	}

@@ -39,8 +39,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/sim"
-	"repro/internal/switchd"
 	"repro/internal/telemetry"
 )
 
@@ -53,22 +51,6 @@ type DegradedError = core.DegradedError
 // FabricEpoch returns the fabric-wide incarnation number (starts at 1; each
 // switch crash and each reboot advances it by one).
 func (fc *FatTreeCluster) FabricEpoch() uint32 { return fc.fabricEpoch }
-
-// SwitchDown reports whether the switch at fabric address addr is crashed.
-// It panics, like every fabric-address lookup, when addr names no switch.
-func (fc *FatTreeCluster) SwitchDown(addr core.HostID) bool { return fc.switchAt(addr).Down() }
-
-// lookupSwitch is switchAt with an error instead of a panic, for the
-// chaos-facing surface where a bad address is a script bug to report.
-func (fc *FatTreeCluster) lookupSwitch(addr core.HostID) (*switchd.Switch, error) {
-	if sp, ok := netsim.SpineIndex(addr, len(fc.Spines)); ok {
-		return fc.Spines[sp], nil
-	}
-	if l, ok := netsim.LeafIndex(addr, len(fc.Leaves)); ok {
-		return fc.Leaves[l], nil
-	}
-	return nil, fmt.Errorf("ask: no switch at fabric address %#x", addr)
-}
 
 // setNetDown mirrors a switch's crash state into the fabric's routing.
 func (fc *FatTreeCluster) setNetDown(addr core.HostID, down bool) {
@@ -100,20 +82,7 @@ func (fc *FatTreeCluster) liveSpine(t core.TaskID) (int, bool) {
 // deployment was built without Config.Failover (a crash would deadlock
 // in-flight tasks).
 func (fc *FatTreeCluster) CrashSwitch(addr core.HostID) error {
-	if !fc.opts.Config.Failover {
-		return fmt.Errorf("ask: CrashSwitch requires Config.Failover")
-	}
-	sw, err := fc.lookupSwitch(addr)
-	if err != nil {
-		return err
-	}
-	if sw.Down() {
-		return nil
-	}
-	sw.Crash()
-	fc.setNetDown(addr, true)
-	fc.bumpFabricEpoch()
-	return nil
+	return fc.setSwitchDown("CrashSwitch", addr, true)
 }
 
 // RebootSwitch brings the switch at fabric address addr back up as a fresh
@@ -122,15 +91,25 @@ func (fc *FatTreeCluster) CrashSwitch(addr core.HostID) error {
 // that re-registers flows and re-allocates regions on the healed topology.
 // It returns an error under the same conditions as CrashSwitch.
 func (fc *FatTreeCluster) RebootSwitch(addr core.HostID) error {
-	if !fc.opts.Config.Failover {
-		return fmt.Errorf("ask: RebootSwitch requires Config.Failover")
+	return fc.setSwitchDown("RebootSwitch", addr, false)
+}
+
+func (fc *FatTreeCluster) setSwitchDown(op string, addr core.HostID, down bool) error {
+	if !fc.cfg.Failover {
+		return fmt.Errorf("ask: %s requires Config.Failover", op)
 	}
-	sw, err := fc.lookupSwitch(addr)
-	if err != nil {
-		return err
+	sw := fc.switchAt(addr)
+	switch {
+	case sw == nil:
+		return fmt.Errorf("ask: no switch at fabric address %#x", addr)
+	case !down:
+		sw.Reboot()
+	case sw.Down():
+		return nil
+	default:
+		sw.Crash()
 	}
-	sw.Reboot()
-	fc.setNetDown(addr, false)
+	fc.setNetDown(addr, down)
 	fc.bumpFabricEpoch()
 	return nil
 }
@@ -160,22 +139,12 @@ func (fc *FatTreeCluster) bumpFabricEpoch() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		a := fc.allocs[id]
-		delete(fc.allocs, id)
-		for _, addr := range a.points {
+		points := fc.allocs[id].points
+		fc.dropAlloc(id)
+		for _, addr := range points {
 			if sw := fc.switchAt(addr); !sw.Down() {
 				_ = sw.FreeRegion(id)
 			}
-		}
-		if fc.Tenancy != nil {
-			fc.Tenancy.Release(a.tenant, a.rows)
-			live := fc.tenantTasks[a.tenant][:0]
-			for _, t := range fc.tenantTasks[a.tenant] {
-				if t != id {
-					live = append(live, t)
-				}
-			}
-			fc.tenantTasks[a.tenant] = live
 		}
 	}
 	if fc.Tel != nil {
@@ -184,14 +153,6 @@ func (fc *FatTreeCluster) bumpFabricEpoch() {
 			int64(fc.fabricEpoch), fmt.Sprintf("epoch %d, %d regions discarded", fc.fabricEpoch, len(ids)))
 	}
 }
-
-// Simulation returns the deterministic virtual-time kernel (the
-// chaos.Fabric surface).
-func (fc *FatTreeCluster) Simulation() *sim.Simulation { return fc.Sim }
-
-// TelemetrySet returns the cluster observability set, nil when telemetry is
-// disabled (the chaos.Fabric surface).
-func (fc *FatTreeCluster) TelemetrySet() *telemetry.Set { return fc.Tel }
 
 // HostUplink returns a host's uplink to its leaf (fault injection, stats).
 func (fc *FatTreeCluster) HostUplink(h core.HostID) *netsim.Link { return fc.Net.Uplink(h) }

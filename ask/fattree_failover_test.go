@@ -2,6 +2,7 @@ package ask
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,6 +205,14 @@ func TestFatTreeCrashSwitchErrors(t *testing.T) {
 	}
 	if err := plain.CrashSwitch(netsim.LeafAddr(0)); err == nil {
 		t.Fatal("CrashSwitch accepted a fabric built without Config.Failover")
+	}
+
+	// Failover replay cannot attribute shadow-copy swap fetches, so the
+	// switches and daemons refuse the combination at build time.
+	both := ftFailoverOptions(59)
+	both.Config.ShadowCopy = true
+	if _, err := NewFatTreeCluster(both); err == nil || !strings.Contains(err.Error(), "Failover requires ShadowCopy off") {
+		t.Fatalf("fat-tree with Failover and ShadowCopy both on: got error %v", err)
 	}
 }
 

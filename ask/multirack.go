@@ -2,11 +2,8 @@ package ask
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cpumodel"
-	"repro/internal/hostd"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/switchd"
@@ -44,13 +41,9 @@ type MultiRackOptions struct {
 // receiver host (§7), so no TOR ever holds state for another rack's
 // channels.
 type MultiRackCluster struct {
-	Sim  *sim.Simulation
+	lifecycle
 	Net  *netsim.TwoTier
 	TORs []*switchd.Switch
-
-	opts    MultiRackOptions
-	daemons map[core.HostID]*hostd.Daemon
-	cpus    map[core.HostID]*cpumodel.Host
 }
 
 // HostAt returns the host ID of slot i in rack r.
@@ -66,30 +59,14 @@ func NewMultiRackCluster(opts MultiRackOptions) (*MultiRackCluster, error) {
 	if opts.Racks <= 0 || opts.HostsPerRack <= 0 {
 		return nil, fmt.Errorf("ask: need positive Racks and HostsPerRack")
 	}
-	if opts.Config.NumAAs == 0 {
-		opts.Config = core.DefaultConfig()
-	}
-	if opts.HostLink.BandwidthBps == 0 {
-		opts.HostLink = netsim.DefaultLinkConfig()
-	}
-	if opts.CoreLink.BandwidthBps == 0 {
-		opts.CoreLink = netsim.DefaultLinkConfig()
-	}
-	if opts.Cores == 0 {
-		opts.Cores = cpumodel.DefaultCores
-	}
-	if opts.Switch.MaxFlows == 0 {
-		opts.Switch = switchd.DefaultOptions()
-	}
+	setDefaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.HostLink, &opts.CoreLink)
 	s := sim.New(opts.Seed)
 	tt, _ := netsim.NewTwoTierSharded(s, opts.Racks, opts.Shards, opts.HostLink, opts.CoreLink)
 	tt.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
-	mc := &MultiRackCluster{
-		Sim:     s,
-		Net:     tt,
-		opts:    opts,
-		daemons: make(map[core.HostID]*hostd.Daemon),
-		cpus:    make(map[core.HostID]*cpumodel.Host),
+	mc := &MultiRackCluster{lifecycle: newLifecycle(s, opts.Config), Net: tt}
+	// A task's only aggregation point is its receiver's TOR.
+	mc.switchStats = func(spec core.TaskSpec) switchd.TaskStats {
+		return *mc.TORs[tt.RackOf(spec.Receiver)].TaskStatsOf(spec.ID)
 	}
 	for r := 0; r < opts.Racks; r++ {
 		// RackSim is the rack's shard lane for a sharded build and the
@@ -103,8 +80,6 @@ func NewMultiRackCluster(opts MultiRackOptions) (*MultiRackCluster, error) {
 	}
 	for r := 0; r < opts.Racks; r++ {
 		for i := 0; i < opts.HostsPerRack; i++ {
-			id := opts.HostAt(r, i)
-			cpu := cpumodel.NewHost(tt.RackSim(r), opts.Cores)
 			// Each daemon's control plane is its own rack's TOR: channels
 			// register there, and a receiver allocates its task region
 			// there — never on a remote TOR. That same locality is what
@@ -113,12 +88,9 @@ func NewMultiRackCluster(opts MultiRackOptions) (*MultiRackCluster, error) {
 			// Zero telemetry sink: multi-rack daemons keep private
 			// registries (per-host/per-task label sets would collide on
 			// a shared registry across TORs).
-			d, err := hostd.New(tt.RackSim(r), rackFabric{tt, r}, cpu, opts.Config, id, controllerAdapter{mc.TORs[r]}, telemetry.Sink{})
-			if err != nil {
+			if _, err := mc.addHost(tt.RackSim(r), rackFabric{tt, r}, opts.HostAt(r, i), opts.Cores, controllerAdapter{mc.TORs[r]}, telemetry.Sink{}); err != nil {
 				return nil, err
 			}
-			mc.daemons[id] = d
-			mc.cpus[id] = cpu
 		}
 	}
 	return mc, nil
@@ -135,67 +107,3 @@ func (rf rackFabric) AttachHost(id core.HostID, h netsim.HostHandler) {
 }
 func (rf rackFabric) HostSend(f *netsim.Frame)           { rf.tt.HostSend(f) }
 func (rf rackFabric) Uplink(id core.HostID) *netsim.Link { return rf.tt.Uplink(id) }
-
-// Daemon returns a host's daemon.
-func (mc *MultiRackCluster) Daemon(h core.HostID) *hostd.Daemon { return mc.daemons[h] }
-
-// CPU returns a host's CPU model.
-func (mc *MultiRackCluster) CPU(h core.HostID) *cpumodel.Host { return mc.cpus[h] }
-
-// ReceiverTOR returns the switch that serves a task at the given receiver.
-func (mc *MultiRackCluster) ReceiverTOR(receiver core.HostID) *switchd.Switch {
-	return mc.TORs[mc.Net.RackOf(receiver)]
-}
-
-// Aggregate runs one task to completion, exactly as Cluster.Aggregate but
-// on the two-tier fabric: rack-local senders are aggregated at the
-// receiver's TOR, remote senders at the receiver host. It returns an
-// error when the spec has no senders, names hosts outside the cluster, or
-// a sender has no stream, and propagates task-execution errors unchanged.
-func (mc *MultiRackCluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
-	recv, ok := mc.daemons[spec.Receiver]
-	if !ok {
-		return nil, fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
-	}
-	if len(spec.Senders) == 0 {
-		return nil, fmt.Errorf("ask: task %d has no senders", spec.ID)
-	}
-	for _, s := range spec.Senders {
-		if _, ok := mc.daemons[s]; !ok {
-			return nil, fmt.Errorf("ask: sender host %d not in cluster", s)
-		}
-		if _, ok := streams[s]; !ok {
-			return nil, fmt.Errorf("ask: no stream for sender host %d", s)
-		}
-	}
-	var result *TaskResult
-	var err error
-	start := mc.Sim.Now()
-	mc.Sim.Spawn(fmt.Sprintf("mr-driver-task%d", spec.ID), func(p *sim.Proc) {
-		h, e := recv.Submit(p, spec)
-		if e != nil {
-			err = e
-			return
-		}
-		senders := append([]core.HostID(nil), spec.Senders...)
-		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-		for _, s := range senders {
-			mc.daemons[s].SubmitSend(spec.ID, streams[s])
-		}
-		res := h.Wait(p)
-		result = &TaskResult{
-			Result:  res,
-			Elapsed: p.Now() - start,
-			Recv:    h.Stats(),
-			Switch:  *mc.ReceiverTOR(spec.Receiver).TaskStatsOf(spec.ID),
-		}
-	})
-	mc.Sim.Run(0)
-	if err != nil {
-		return nil, err
-	}
-	if result == nil {
-		return nil, fmt.Errorf("ask: task %d did not complete", spec.ID)
-	}
-	return result, nil
-}

@@ -152,3 +152,50 @@ func TestMultiRackValidation(t *testing.T) {
 		t.Fatal("missing stream accepted")
 	}
 }
+
+// TestMultiRackConcurrentTasksExact runs two tasks at once through
+// StartTask, each receiving in a different rack with one rack-local and one
+// remote sender: both must be exact, and each task's switch counters must
+// come from its own receiver's TOR (the local sender's tuples only).
+func TestMultiRackConcurrentTasksExact(t *testing.T) {
+	opts := mrOptions(6)
+	mc, err := NewMultiRackCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []core.TaskSpec{
+		{ID: 1, Receiver: opts.HostAt(0, 0), Senders: []core.HostID{opts.HostAt(0, 1), opts.HostAt(2, 0)}, Op: core.OpSum},
+		{ID: 2, Receiver: opts.HostAt(1, 0), Senders: []core.HostID{opts.HostAt(1, 1), opts.HostAt(2, 1)}, Op: core.OpSum},
+	}
+	const tuples = 6000
+	pending := make([]*PendingTask, len(specs))
+	wants := make([]core.Result, len(specs))
+	for i, spec := range specs {
+		streams := make(map[core.HostID]core.Stream)
+		wants[i] = make(core.Result)
+		for j, s := range spec.Senders {
+			w := workload.Uniform(512, tuples, int64(20+2*i+j))
+			streams[s] = w.Stream()
+			wants[i].Merge(w.Reference(core.OpSum), core.OpSum)
+		}
+		if pending[i], err = mc.StartTask(spec, streams); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mc.Sim.Run(0)
+	for i, pt := range pending {
+		res, err := pt.Get()
+		if err != nil {
+			t.Fatalf("task %d: %v", specs[i].ID, err)
+		}
+		if !res.Result.Equal(wants[i]) {
+			t.Fatalf("task %d wrong: %s", specs[i].ID, res.Result.Diff(wants[i], 8))
+		}
+		if in := res.Switch.TuplesIn; in == 0 || in > tuples {
+			t.Fatalf("task %d: receiver TOR saw %d tuples; want (0, %d] (local sender only)", specs[i].ID, in, tuples)
+		}
+		if res.Degraded != 0 {
+			t.Fatalf("task %d: fault-free run reports degraded time %v", specs[i].ID, res.Degraded)
+		}
+	}
+}

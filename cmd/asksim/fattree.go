@@ -32,12 +32,10 @@ type fatTreeFlags struct {
 // AA allocation (equal weights from the CLI).
 func runFatTree(ff fatTreeFlags) {
 	if ff.HostsPerLeaf < 2 {
-		fmt.Fprintln(os.Stderr, "asksim: fattree needs -hosts >= 2 (hosts per leaf; slot 0 of leaf 0 receives)")
-		os.Exit(1)
+		fail("fattree needs -hosts >= 2 (hosts per leaf; slot 0 of leaf 0 receives)")
 	}
 	if ff.Tenants > ff.HostsPerLeaf {
-		fmt.Fprintln(os.Stderr, "asksim: fattree needs -tenants <= -hosts (one receiver slot per tenant)")
-		os.Exit(1)
+		fail("fattree needs -tenants <= -hosts (one receiver slot per tenant)")
 	}
 	opts := ask.FatTreeOptions{
 		Spines: ff.Spines, Leaves: ff.Leaves, HostsPerLeaf: ff.HostsPerLeaf,
@@ -50,8 +48,7 @@ func runFatTree(ff fatTreeFlags) {
 	}
 	fc, err := ask.NewFatTreeCluster(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	fmt.Printf("fat-tree: %d spines × %d leaves × %d hosts/leaf", ff.Spines, ff.Leaves, ff.HostsPerLeaf)
 	if ff.Tenants > 0 {
@@ -109,12 +106,11 @@ func runFatTree(ff fatTreeFlags) {
 		plans = append(plans, p)
 	}
 
-	pending := make([]*ask.FatTreePendingTask, len(plans))
+	pending := make([]*ask.PendingTask, len(plans))
 	for i, p := range plans {
 		pt, err := fc.StartTask(p.spec, p.str)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asksim: %s: %v\n", p.label, err)
-			os.Exit(1)
+			fail("%s: %v", p.label, err)
 		}
 		pending[i] = pt
 	}
@@ -131,8 +127,7 @@ func runFatTree(ff fatTreeFlags) {
 	for i, p := range plans {
 		res, err := pending[i].Get()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "asksim: %s: %v\n", p.label, err)
-			os.Exit(1)
+			fail("%s: %v", p.label, err)
 		}
 		el := time.Duration(res.Elapsed)
 		verdict := ""

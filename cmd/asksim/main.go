@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/ask"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -26,21 +27,25 @@ import (
 	"repro/internal/workload"
 )
 
+// fail reports a usage or setup error and exits 1.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "asksim: "+format+"\n", args...)
+	os.Exit(1)
+}
+
 // writeSnapshot writes one exporter's output to path ("-" = stdout).
 func writeSnapshot(path string, write func(w io.Writer) error) {
 	out := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		defer f.Close()
 		out = f
 	}
 	if err := write(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 }
 
@@ -69,13 +74,13 @@ func main() {
 		spines   = flag.Int("spines", 2, "fat-tree spine switches (topology=fattree)")
 		leaves   = flag.Int("leaves", 3, "fat-tree leaf switches; -hosts is then hosts per leaf (topology=fattree)")
 		tenants  = flag.Int("tenants", 0, "tenants sharing the fat-tree, one task each, equal weights (0 = untenanted; topology=fattree)")
-		shards   = flag.Int("shards", 0, "parallel event-loop shards; <= 1 runs the serial scheduler, and topologies too small to cut (rack, 1 rack/leaf) always do; a sharded run prints its window handoff counts on stderr (DESIGN.md \"Parallel DES\")")
+		shards   = flag.Int("shards", 0, "parallel event-loop shards (topology=fattree; rejected on the rack, whose single switch leaves no partition boundary to cut); <= 1 runs the serial scheduler, and a 1-leaf fabric always does; a sharded run prints its window handoff counts on stderr (DESIGN.md \"Parallel DES\")")
 
 		soak        = flag.Bool("soak", false, "run the chaos soak harness instead of a single task (honors -topology)")
 		soakRuns    = flag.Int("soak.runs", 1, "consecutive soak seeds to run (soak.seed, soak.seed+1, ...)")
 		soakSeed    = flag.Int64("soak.seed", 1, "soak seed (drives workload, schedule, and fault RNG)")
 		soakEvents  = flag.Int("soak.events", 6, "fault events per soak schedule")
-		soakSenders = flag.Int("soak.senders", 2, "sending hosts in the soak cluster (topology=rack)")
+		soakSenders = flag.Int("soak.senders", 0, "sending hosts in the soak cluster (0 = default 2; topology=rack)")
 		soakTuples  = flag.Int64("soak.tuples", 0, "tuples per sender in the soak workload (0 = topology default)")
 		soakCorrupt = flag.Float64("soak.corrupt", 1e-3, "baseline per-link corruption probability during the soak")
 		soakBreak   = flag.Bool("soak.break-checksums", false, "disable checksum verification (fault hook) to demo harness detection (topology=rack)")
@@ -88,10 +93,10 @@ func main() {
 		*telem = true
 	}
 	if *soak {
-		runSoak(soakFlags{
-			Topology: *topology, Runs: *soakRuns, Seed: *soakSeed,
-			Events: *soakEvents, Senders: *soakSenders, Tuples: *soakTuples,
-			Corrupt: *soakCorrupt, BreakChecksums: *soakBreak,
+		runSoak(*topology, *soakRuns, chaos.Config{
+			Seed: *soakSeed, Events: *soakEvents, Tuples: *soakTuples,
+			Base:    netsim.Fault{CorruptProb: *soakCorrupt},
+			Senders: *soakSenders, DisableChecksumVerify: *soakBreak,
 			Spines: *soakSpines, Leaves: *soakLeaves, Shards: *soakShards,
 		})
 		return
@@ -99,6 +104,11 @@ func main() {
 
 	switch *topology {
 	case "rack":
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				fail("-shards needs -topology fattree (a single rack has no partition boundary to cut)")
+			}
+		})
 	case "fattree":
 		runFatTree(fatTreeFlags{
 			Spines: *spines, Leaves: *leaves, HostsPerLeaf: *hosts,
@@ -108,13 +118,11 @@ func main() {
 		})
 		return
 	default:
-		fmt.Fprintf(os.Stderr, "asksim: unknown -topology %q (rack or fattree)\n", *topology)
-		os.Exit(1)
+		fail("unknown -topology %q (rack or fattree)", *topology)
 	}
 
 	if *senders >= *hosts {
-		fmt.Fprintln(os.Stderr, "asksim: need senders < hosts (host 0 is the receiver)")
-		os.Exit(1)
+		fail("need senders < hosts (host 0 is the receiver)")
 	}
 	cfg := core.DefaultConfig()
 	cfg.DataChannels = *channels
@@ -127,11 +135,9 @@ func main() {
 	cl, err := ask.NewCluster(ask.Options{
 		Hosts: *hosts, Config: cfg, Link: link, Seed: *seed,
 		Telemetry: telemetry.Config{Enabled: *telem},
-		Shards:    *shards,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	if *layout {
 		fmt.Print(cl.Switch.Pipeline().Describe())
@@ -146,14 +152,12 @@ func main() {
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		hdr, tkvs, err := workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		if hdr.Scenario != "" {
 			fmt.Printf("replaying scenario %q (trace v%d, seed %d, %d records)\n",
@@ -172,14 +176,12 @@ func main() {
 	} else if *trace != "" {
 		f, err := os.Open(*trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		kvs, err := workload.ReadTSV(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		total = int64(len(kvs))
 		parts := workload.SplitRoundRobin(kvs, *senders)
@@ -211,14 +213,12 @@ func main() {
 		res, err = cl.Aggregate(spec, streams)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 
 	if *verify {
 		if !res.Result.Equal(want) {
-			fmt.Fprintf(os.Stderr, "asksim: RESULT MISMATCH: %s\n", res.Result.Diff(want, 10))
-			os.Exit(1)
+			fail("RESULT MISMATCH: %s", res.Result.Diff(want, 10))
 		}
 		fmt.Println("result verified exact against host-computed reference ✓")
 	}

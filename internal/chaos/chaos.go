@@ -26,9 +26,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Fabric is the deployment surface the orchestrator injects faults into.
-// Both ask.Cluster (single switch, address ask.TheSwitch) and
-// ask.FatTreeCluster (switches at netsim.LeafAddr/SpineAddr) implement it.
+// Fabric is the deployment surface the orchestrator injects faults into and
+// the soak runner drives tasks on. Both ask.Cluster (single switch, address
+// ask.TheSwitch) and ask.FatTreeCluster (switches at
+// netsim.LeafAddr/SpineAddr) implement it.
 type Fabric interface {
 	// Simulation returns the deterministic virtual-time kernel faults are
 	// scheduled on.
@@ -50,6 +51,9 @@ type Fabric interface {
 	// drain a revoked region exactly-once (the fat-tree) return an error,
 	// which the orchestrator treats as a no-op fault.
 	RevokeRegion(task core.TaskID, receiver core.HostID) error
+	// StartTask submits an aggregation task without running the
+	// simulation.
+	StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*ask.PendingTask, error)
 }
 
 var (
@@ -74,14 +78,11 @@ type Orchestrator struct {
 	tr         *telemetry.Tracer
 }
 
-// New wraps a rack cluster in an orchestrator. The cluster should run with
-// Config.Failover on; injecting switch faults into a non-failover cluster
-// deadlocks tasks whose state died with the switch.
-func New(cl *ask.Cluster) *Orchestrator { return NewFabric(cl) }
-
-// NewFabric wraps any deployment (rack or fat-tree) in an orchestrator;
-// the same failover caveat as New applies.
-func NewFabric(f Fabric) *Orchestrator {
+// New wraps a deployment (rack or fat-tree) in an orchestrator. The
+// deployment should run with Config.Failover on; injecting switch faults
+// into a non-failover cluster deadlocks tasks whose state died with the
+// switch.
+func New(f Fabric) *Orchestrator {
 	o := &Orchestrator{fab: f}
 	if ts := f.TelemetrySet(); ts != nil && ts.Registry != nil {
 		o.injections = ts.Registry.Counter("chaos.injections")

@@ -7,13 +7,17 @@ import (
 func TestTenantSoakVictimKilledOthersExact(t *testing.T) {
 	// A hand-written hole far longer than the retry budget: the victim's
 	// stream must abort, and every other tenant must finish exactly.
-	cfg := TenantSoakConfig{Seed: 41, Retries: 2}.withDefaults()
-	scale, err := tenantGoldenScale(cfg)
+	cfg, err := Config{Preset: Isolation, Seed: 41, Retries: 2}.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule{{Kind: EvLinkBlackhole, StartMil: 200, DurMil: 500}}
-	out := RunTenantSchedule(cfg, sched, scale)
+	scale, err := GoldenScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victimSender := hostAt(cfg, 1, 0)
+	sched := Schedule{{Kind: EvLinkBlackhole, Host: victimSender, StartMil: 200, DurMil: 500}}
+	out := RunSchedule(cfg, sched, scale)
 	if !out.OK() {
 		t.Fatalf("isolation violated: %s", out.Violation)
 	}
@@ -23,7 +27,7 @@ func TestTenantSoakVictimKilledOthersExact(t *testing.T) {
 }
 
 func TestTenantSoakEndToEnd(t *testing.T) {
-	rep, err := TenantSoak(TenantSoakConfig{Seed: 7})
+	rep, err := Soak(Config{Preset: Isolation, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +40,14 @@ func TestTenantSoakEndToEnd(t *testing.T) {
 }
 
 func TestTenantSoakDeterministic(t *testing.T) {
-	cfg := TenantSoakConfig{Seed: 13}.withDefaults()
-	scale, err := tenantGoldenScale(cfg)
+	cfg := Config{Preset: Isolation, Seed: 13}
+	scale, err := GoldenScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := GenerateTenantSchedule(cfg)
-	a := RunTenantSchedule(cfg, sched, scale)
-	b := RunTenantSchedule(cfg, sched, scale)
+	sched := GenerateSchedule(cfg)
+	a := RunSchedule(cfg, sched, scale)
+	b := RunSchedule(cfg, sched, scale)
 	if a != b {
 		t.Fatalf("two identical replays diverged: %+v vs %+v", a, b)
 	}
@@ -90,7 +94,16 @@ func TestShrinkWithEmptyScheduleFailure(t *testing.T) {
 }
 
 func TestGenerateTenantScheduleWindowsDisjoint(t *testing.T) {
-	sched := GenerateTenantSchedule(TenantSoakConfig{Seed: 3, Events: 5})
+	cfg, err := Config{Preset: Isolation, Seed: 3, Events: 5}.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := GenerateSchedule(cfg)
+	for i, ev := range sched {
+		if ev.Kind != EvLinkBlackhole || ev.Host != hostAt(cfg, 1, 0) {
+			t.Fatalf("event %d is not a black-hole on the victim's sender: %s", i, ev)
+		}
+	}
 	for i := 1; i < len(sched); i++ {
 		prevEnd := sched[i-1].StartMil + sched[i-1].DurMil
 		if sched[i].StartMil < prevEnd {
